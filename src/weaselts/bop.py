@@ -110,6 +110,21 @@ class BagOfPatterns:
         uniq, counts = np.unique(np.asarray(keys, dtype=np.int64), return_counts=True)
         return cls(uniq, counts.astype(np.int64))
 
+    def truncated(self, word_length: int) -> "BagOfPatterns":
+        """The bag these occurrences make when every word keeps only its
+        first ``word_length`` symbols.
+
+        Symbol ``j`` sits at bits ``2j`` of each word, so this keeps the
+        low ``2 * word_length`` bits of a unigram word and of both halves
+        of a bigram, keeps the kind and window length, and merges the
+        keys that become equal by summing their counts.
+        """
+        low = (1 << (2 * word_length)) - 1
+        keep = np.int64(-(1 << _KIND_SHIFT) | (low << _PREV_SHIFT) | low)
+        keys, inverse = np.unique(self.keys & keep, return_inverse=True)
+        counts = np.bincount(inverse, weights=self.counts, minlength=keys.size)
+        return BagOfPatterns(keys, counts.astype(np.int64))
+
     def get(self, key: int) -> int:
         pos = np.searchsorted(self.keys, key)
         if pos < self.keys.size and self.keys[pos] == key:

@@ -90,11 +90,17 @@ def train_linear(
     xa = sparse.hstack([x, sparse.csr_matrix(ones)], format="csr")
     weights = np.empty((len(classes), x.shape[1]))
     bias_weights = np.empty(len(classes))
-    for i, cls in enumerate(classes):
+    # With two classes the second problem is the first with y negated; the
+    # solver's iterates are then exactly negated, so one solve gives both.
+    solved = classes[:1] if len(classes) == 2 else classes
+    for i, cls in enumerate(solved):
         y = np.where(labels == cls, 1.0, -1.0)
         w = _solve_binary(xa, y, float(reg_tradeoff), float(tolerance))
         weights[i] = w[:-1]
         bias_weights[i] = w[-1]
+    if len(classes) == 2:
+        weights[1] = -weights[0]
+        bias_weights[1] = -bias_weights[0]
     return LinearModel(classes, weights, bias_weights, float(bias))
 
 

@@ -5,7 +5,8 @@ A window becomes a short word over a small alphabet in three steps:
 1. rank spectrum columns by a one-way ANOVA F statistic on label groups
    and keep the ``word_length`` best ones (``select_coefficients``);
 2. learn, per kept column, ``alphabet - 1`` bin boundaries that greedily
-   maximize information gain of the label partition (``fit_bins``);
+   maximize information gain of the label partition; the bins of all
+   kept columns are learned in one pass (``fit_bins``);
 3. map each window's column values to bin symbols (``transform_word``).
 
 Both fitting steps see only label-disjoint windows; the transform is
@@ -154,87 +155,110 @@ def leading_columns(word_length: int, m: int) -> np.ndarray:
 
 
 def _entropy_from_counts(counts: np.ndarray, totals) -> np.ndarray:
+    # The class axis is last and contiguous, so each entropy is summed in
+    # the same order whatever the shape of the batch around it.
     with np.errstate(divide="ignore", invalid="ignore"):
         p = counts / totals
         terms = np.where(counts > 0, -p * np.log2(p), 0.0)
     return terms.sum(axis=-1)
 
 
-def _best_split(prefix, v, s, e, h_parent):
-    """Best information-gain split of sorted slice [s, e).
-
-    Candidates sit between consecutive distinct values. Ties prefer the
-    split whose left side is closest to half the partition, then the
-    leftmost position. Returns (gain, position) or None.
-    """
-    cand = np.nonzero(v[s : e - 1] != v[s + 1 : e])[0] + s
-    if cand.size == 0:
-        return None
-    size = e - s
-    left = prefix[cand + 1] - prefix[s]
-    n_left = (cand + 1 - s).astype(np.float64)
-    n_right = size - n_left
-    h_left = _entropy_from_counts(left, n_left[:, None])
-    h_right = _entropy_from_counts(prefix[e] - prefix[cand + 1], n_right[:, None])
-    gain = np.maximum(
-        0.0, h_parent - ((n_left / size) * h_left + (n_right / size) * h_right)
-    )
-    dist = np.abs(n_left - size / 2)
-    best = np.lexsort((cand, dist, -gain))[0]
-    return float(gain[best]), int(cand[best])
-
-
 def fit_bins(values, labels, alphabet_size: int) -> np.ndarray:
     """Learn ``alphabet_size - 1`` strictly increasing bin boundaries.
 
-    Starting from the whole sorted value range, the partition holding
-    the next split is chosen impure-first, then by descending size, then
-    by position; within it the candidate maximizing information gain
-    wins (ties as in ``_best_split``). Boundaries are midpoints between
-    the straddling values. If the data run out of distinct values before
-    enough boundaries exist, the remainder is padded past the maximum in
-    unit steps so the boundary count is always ``alphabet_size - 1``.
+    ``values`` is one column of ``m`` values, or an ``(m, L)`` block whose
+    ``L`` columns are binned independently against the same ``m``
+    labels; the result has shape ``(alphabet_size - 1,)`` or
+    ``(L, alphabet_size - 1)``. All columns are learned in one pass.
+
+    Starting from a column's whole sorted value range, the partition
+    holding the next split is chosen impure-first, then by descending
+    size, then by position. Within it the candidate split, between two
+    consecutive distinct values, that maximizes information gain wins;
+    ties go to the split whose left side is closest to half the
+    partition, then to the leftmost. Boundaries are midpoints between
+    the straddling values. If a column runs out of distinct values
+    before enough boundaries exist, the remainder is padded past its
+    maximum in unit steps so the boundary count is always
+    ``alphabet_size - 1``.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
-    if values.ndim != 1 or values.shape != labels.shape or values.size == 0:
-        raise ShapeError("fit_bins expects parallel nonempty 1-D values and labels")
+    if (
+        values.ndim not in (1, 2)
+        or labels.ndim != 1
+        or values.shape[0] != labels.size
+        or values.size == 0
+    ):
+        raise ShapeError(
+            "fit_bins expects nonempty (m,) or (m, L) values and m parallel labels"
+        )
     if alphabet_size < 2:
         raise ConfigError(f"alphabet size must be >= 2, got {alphabet_size}")
 
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    _, y = np.unique(labels[order], return_inverse=True)
+    block = values.reshape(values.shape[0], -1)
+    m, n_cols = block.shape
+    order = np.argsort(block, axis=0, kind="stable")
+    v = np.take_along_axis(block, order, axis=0)
+    _, class_ids = np.unique(labels, return_inverse=True)
+    y = class_ids[order]
     k = int(y.max()) + 1
-    onehot = np.zeros((v.size, k))
-    onehot[np.arange(v.size), y] = 1.0
-    prefix = np.vstack([np.zeros(k), np.cumsum(onehot, axis=0)])
+    # prefix[i, j, c]: windows of class c among the i smallest of column j
+    prefix = np.zeros((m + 1, n_cols, k))
+    prefix[1:] = np.cumsum(y[:, :, None] == np.arange(k), axis=0)
+    # A cut after the first c sorted rows, 0 < c < m, is a candidate
+    # where the values on its two sides differ.
+    cut = np.arange(1, m)[:, None]
+    distinct = v[:-1] != v[1:]
+    cols = np.arange(n_cols)
 
-    def parent_entropy(s, e):
-        return float(_entropy_from_counts(prefix[e] - prefix[s], float(e - s)))
-
-    boundaries: list[float] = []
-    partitions = [(0, v.size)]
-    while len(boundaries) < alphabet_size - 1:
-        splittable = []
-        for s, e in partitions:
-            if np.any(v[s : e - 1] != v[s + 1 : e]):
-                impure = np.count_nonzero(prefix[e] - prefix[s]) > 1
-                splittable.append((not impure, -(e - s), s, e))
-        if not splittable:
+    found = np.full((n_cols, alphabet_size - 1), np.inf)
+    n_found = np.zeros(n_cols, dtype=np.int64)
+    # Row j holds the sorted cuts of column j; its partitions are
+    # [cuts[p], cuts[p + 1]). A column that can split no further gets a
+    # cut at m, which adds an empty partition.
+    cuts = np.tile(np.array([0, m]), (n_cols, 1))
+    for step in range(alphabet_size - 1):
+        s, e = cuts[:, :-1], cuts[:, 1:]
+        size = e - s
+        ends_differ = v[np.minimum(s, m - 1), cols[:, None]] != v[e - 1, cols[:, None]]
+        splittable = (size >= 2) & ends_differ
+        counts = prefix[e, cols[:, None]] - prefix[s, cols[:, None]]
+        impure = np.count_nonzero(counts, axis=-1) > 1
+        rank = ((~impure) * (m + 1) + (m - size)) * (m + 1) + s
+        part = np.argmin(np.where(splittable, rank, np.iinfo(np.int64).max), axis=1)
+        active = splittable[cols, part]
+        if not active.any():
             break
-        _, _, s, e = min(splittable)
-        _, pos = _best_split(prefix, v, s, e, parent_entropy(s, e))
-        boundaries.append((v[pos] + v[pos + 1]) / 2.0)
-        partitions.remove((s, e))
-        partitions.extend([(s, pos + 1), (pos + 1, e)])
+        ps, pe = s[cols, part], e[cols, part]
+        psize = pe - ps
+        h_parent = _entropy_from_counts(counts[cols, part], psize[:, None])
 
-    boundaries.sort()
-    pad_from = boundaries[-1] if boundaries else float(v[-1])
-    while len(boundaries) < alphabet_size - 1:
-        pad_from += 1.0
-        boundaries.append(pad_from)
-    return np.asarray(boundaries)
+        n_left = (cut - ps).astype(np.float64)
+        n_right = psize - n_left
+        left = prefix[1:m] - prefix[ps, cols]
+        right = prefix[pe, cols] - prefix[1:m]
+        h_left = _entropy_from_counts(left, n_left[..., None])
+        h_right = _entropy_from_counts(right, n_right[..., None])
+        gain = np.maximum(
+            0.0, h_parent - ((n_left / psize) * h_left + (n_right / psize) * h_right)
+        )
+        valid = distinct & (cut > ps) & (cut < pe) & active
+        gain = np.where(valid, gain, -np.inf)
+        dist = np.abs(n_left - psize / 2)
+        dist = np.where(gain == gain.max(axis=0), dist, np.inf)
+        pos = np.argmax(dist == dist.min(axis=0), axis=0)  # leftmost of the best
+
+        hit = cols[active]
+        found[hit, step] = (v[pos[hit], hit] + v[pos[hit] + 1, hit]) / 2.0
+        n_found[hit] += 1
+        cuts = np.sort(np.column_stack([cuts, np.where(active, pos + 1, m)]), axis=1)
+
+    bounds = np.sort(found, axis=1)
+    for t in range(alphabet_size - 1):
+        pad_from = bounds[:, t - 1] if t else v[-1]
+        bounds[:, t] = np.where(t < n_found, bounds[:, t], pad_from + 1.0)
+    return bounds if values.ndim == 2 else bounds[0]
 
 
 def equi_depth_bins(values, alphabet_size: int) -> np.ndarray:
@@ -284,13 +308,12 @@ def fit_symbolic_model(
         cols, _ = select_coefficients(ri_matrix, labels, word_length)
     else:
         cols = leading_columns(word_length, ri_matrix.shape[1] // 2)
-    bounds = np.empty((word_length, alphabet_size - 1))
-    for j, col in enumerate(cols):
-        col_values = ri_matrix[:, col]
-        if supervised:
-            bounds[j] = fit_bins(col_values, labels, alphabet_size)
-        else:
-            bounds[j] = equi_depth_bins(col_values, alphabet_size)
+    if supervised:
+        bounds = fit_bins(ri_matrix[:, cols], labels, alphabet_size)
+    else:
+        bounds = np.array(
+            [equi_depth_bins(ri_matrix[:, col], alphabet_size) for col in cols]
+        )
     return SymbolicModel(int(w), int(word_length), int(alphabet_size), cols, bounds)
 
 

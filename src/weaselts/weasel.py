@@ -9,6 +9,14 @@ surviving counts. The word length is chosen by stratified k-fold
 cross-validation over the configured candidates (ties favor the
 smaller), then the whole pipeline is refit on the full training set.
 
+The candidates share one symbolic fit per fold: the window models are
+fitted and the bags built once, at the longest candidate word length,
+and a shorter candidate's bags follow by truncating every word
+(``BagOfPatterns.truncated``). This is exact, because the columns kept
+for a shorter word are a prefix of those kept for a longer one, bins
+are learned per column, and symbol ``j`` is packed at bits ``2j``. The
+candidates differ only in the chi-squared filter and the linear solve.
+
 Everything downstream of the seed is deterministic: fitting the same
 data twice yields byte-identical serialized models.
 """
@@ -139,6 +147,8 @@ def _fit_window_models(series_list, labels, lengths, word_length, cfg):
         models[w] = fit_symbolic_model(
             ri, window_labels, w, word_length, cfg.alphabet, cfg.supervised
         )
+    if not models:
+        raise ConfigError("no window length could be fitted on this dataset")
     return models
 
 
@@ -173,21 +183,17 @@ def _normalize_rows(x):
     return x.multiply(scale[:, None]).tocsr()
 
 
-def _fit_fixed(series_list, labels, lengths, word_length, cfg):
-    models = _fit_window_models(series_list, labels, lengths, word_length, cfg)
-    if not models:
-        raise ConfigError("no window length could be fitted on this dataset")
-    bags = _dataset_bags(series_list, models, cfg.bigrams, cfg.epsilon)
+def _fit_fixed(bags, labels, cfg):
+    """Chi-squared filter and linear solve on the bags of one word length."""
     features = chi_squared_filter(bags, labels, cfg.chi_threshold)
     x = vectorize_all(bags, features)
     if cfg.normalize_features:
         x = _normalize_rows(x)
     lin = train_linear(x, labels, cfg.reg_tradeoff, cfg.tolerance, cfg.bias)
-    return models, features, lin
+    return features, lin
 
 
-def _predict_batch(series_list, models, features, lin, cfg):
-    bags = _dataset_bags(series_list, models, cfg.bigrams, cfg.epsilon)
+def _predict_batch(bags, features, lin, cfg):
     x = vectorize_all(bags, features)
     if cfg.normalize_features:
         x = _normalize_rows(x)
@@ -261,9 +267,10 @@ class WeaselModel:
             series = series.series
         for s in series:
             self._check_length(s)
-        labels, _ = _predict_batch(
-            series, self.window_models, self.features, self.linear, self.config
+        bags = _dataset_bags(
+            series, self.window_models, self.config.bigrams, self.config.epsilon
         )
+        labels, _ = _predict_batch(bags, self.features, self.linear, self.config)
         return labels
 
     def save(self, path) -> None:
@@ -305,32 +312,42 @@ def fit_weasel(train: LabeledDataset, config: WeaselConfig | None = None) -> Wea
             )
         else:
             fold_of = _stratified_folds(train.labels, folds, cfg.seed)
-            best_mean = -1.0
-            for l in candidates:
-                accs = []
-                for f in range(folds):
-                    tr = np.nonzero(fold_of != f)[0]
-                    va = np.nonzero(fold_of == f)[0]
-                    sub_series = [train.series[i] for i in tr]
-                    sub_labels = [train.labels[i] for i in tr]
-                    models, feats, lin = _fit_fixed(
-                        sub_series, sub_labels, lengths, l, cfg
-                    )
-                    pred, _ = _predict_batch(
-                        [train.series[i] for i in va], models, feats, lin, cfg
-                    )
-                    truth = [train.labels[i] for i in va]
-                    accs.append(
+            accs = {l: [] for l in candidates}
+            for f in range(folds):
+                tr = np.nonzero(fold_of != f)[0]
+                va = np.nonzero(fold_of == f)[0]
+                sub_series = [train.series[i] for i in tr]
+                sub_labels = [train.labels[i] for i in tr]
+                models = _fit_window_models(
+                    sub_series, sub_labels, lengths, candidates[-1], cfg
+                )
+                train_bags = _dataset_bags(sub_series, models, cfg.bigrams, cfg.epsilon)
+                val_bags = _dataset_bags(
+                    [train.series[i] for i in va], models, cfg.bigrams, cfg.epsilon
+                )
+                truth = [train.labels[i] for i in va]
+                for l in candidates:
+                    if l < candidates[-1]:
+                        tb = [b.truncated(l) for b in train_bags]
+                        vb = [b.truncated(l) for b in val_bags]
+                    else:
+                        tb, vb = train_bags, val_bags
+                    feats, lin = _fit_fixed(tb, sub_labels, cfg)
+                    pred, _ = _predict_batch(vb, feats, lin, cfg)
+                    accs[l].append(
                         sum(p == t for p, t in zip(pred, truth)) / len(truth)
                     )
-                mean_acc = float(np.mean(accs))
+            best_mean = -1.0
+            for l in candidates:
+                mean_acc = float(np.mean(accs[l]))
                 if mean_acc > best_mean:
                     best_mean = mean_acc
                     chosen = l
 
-    models, features, lin = _fit_fixed(
-        list(train.series), list(train.labels), lengths, chosen, cfg
-    )
+    series, labels = list(train.series), list(train.labels)
+    models = _fit_window_models(series, labels, lengths, chosen, cfg)
+    bags = _dataset_bags(series, models, cfg.bigrams, cfg.epsilon)
+    features, lin = _fit_fixed(bags, labels, cfg)
     return WeaselModel(cfg, chosen, models, features, lin, features.n_candidates)
 
 

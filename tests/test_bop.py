@@ -156,6 +156,32 @@ def test_bag_equality():
     assert a != c
 
 
+def test_truncated_bag_matches_counter_of_shorter_words():
+    rng = np.random.default_rng(44)
+    for alphabet in (2, 4):
+        streams = []
+        for w in (8, 9, 40):
+            symbols = rng.integers(0, alphabet, (60, 8))
+            streams.append((w, symbols))
+        keys = np.concatenate(
+            [unigram_keys(w, pack_words(s)) for w, s in streams]
+            + [bigram_keys(w, pack_words(s)) for w, s in streams]
+        )
+        bag = BagOfPatterns.from_key_stream(keys)
+        for l in range(1, 9):
+            short = [(w, pack_words(s[:, :l])) for w, s in streams]
+            expect = Counter(
+                int(k)
+                for w, words in short
+                for k in np.concatenate([unigram_keys(w, words), bigram_keys(w, words)])
+            )
+            got = bag.truncated(l)
+            assert got.as_dict() == dict(expect)
+            stream = np.array(list(expect.elements()))
+            assert got == BagOfPatterns.from_key_stream(stream)
+            assert got.counts.dtype == np.int64 and got.total() == bag.total()
+
+
 def test_series_keys_counts_and_contents():
     model = fitted_model(w=8)
     rng = np.random.default_rng(44)

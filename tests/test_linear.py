@@ -12,7 +12,7 @@ from weaselts import (
     predict_labels,
     train_linear,
 )
-from weaselts.linear import loss_gradient
+from weaselts.linear import _solve_binary, loss_gradient
 
 
 def loss_by_loop(w, xa, y, c):
@@ -106,9 +106,23 @@ def test_solution_satisfies_gradient_tolerance():
 def test_binary_classes_learn_mirrored_weights():
     rng = np.random.default_rng(76)
     x, labels = separable_counts(rng)
-    model = train_linear(x, labels, tolerance=1e-9)
-    np.testing.assert_allclose(model.weights[0], -model.weights[1], atol=1e-6)
-    np.testing.assert_allclose(model.bias_weights[0], -model.bias_weights[1], atol=1e-6)
+    xa = sparse.hstack(
+        [sparse.csr_matrix(x), sparse.csr_matrix(np.ones((x.shape[0], 1)))],
+        format="csr",
+    )
+    y = np.where(np.asarray(labels) == "a", 1.0, -1.0)
+    for tol in (0.1, 1e-9):
+        model = train_linear(x, labels, tolerance=tol)
+        assert model.weights[1].tobytes() == (-model.weights[0]).tobytes()
+        assert model.bias_weights[1].tobytes() == (-model.bias_weights[0]).tobytes()
+        # the mirrored row is what a second solve would return, bit for bit
+        second = _solve_binary(xa, -y, 1.0, tol)
+        assert second.tobytes() == (-_solve_binary(xa, y, 1.0, tol)).tobytes()
+    # both rows meet the stationarity contract
+    model = train_linear(x, labels, tolerance=0.1)
+    for row, sign in ((0, 1.0), (1, -1.0)):
+        w = np.concatenate([model.weights[row], [model.bias_weights[row]]])
+        assert np.linalg.norm(loss_gradient(w, xa, sign * y, 1.0)) <= 0.1
 
 
 def test_score_layout_and_zero_vector():

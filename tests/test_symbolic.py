@@ -21,7 +21,7 @@ from weaselts import (
     window_ri_matrix,
     znormalize,
 )
-from weaselts.symbolic import digitize_columns, leading_columns
+from weaselts.symbolic import _entropy_from_counts, digitize_columns, leading_columns
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +272,115 @@ def test_fit_bins_validation():
         fit_bins([1.0, 2.0], ["a"], 2)
     with pytest.raises(ConfigError):
         fit_bins([1.0, 2.0], ["a", "b"], 1)
+    with pytest.raises(ShapeError):
+        fit_bins(np.ones((3, 2)), ["a", "b"], 2)  # rows, not columns, match labels
+    with pytest.raises(ShapeError):
+        fit_bins(np.ones((0, 2)), [], 2)
+    with pytest.raises(ShapeError):
+        fit_bins(np.ones((2, 2, 2)), ["a", "b"], 2)
+    with pytest.raises(ShapeError):
+        fit_bins(np.ones((2, 2)), [["a", "b"], ["a", "b"]], 2)
+    with pytest.raises(ConfigError):
+        fit_bins(np.ones((2, 2)), ["a", "b"], 1)
+
+
+def greedy_bins_by_loop(values, labels, alphabet_size):
+    """Reference binning of one column, one candidate split at a time.
+
+    Same greedy order (impure partition first, then larger, then
+    leftmost) and the same tie rules as ``fit_bins``, written as plain
+    loops. The entropy arithmetic is the library's, so results must be
+    bit-identical.
+    """
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    _, y = np.unique(labels[order], return_inverse=True)
+    k = int(y.max()) + 1
+    prefix = np.zeros((v.size + 1, k))
+    for i, c in enumerate(y):
+        prefix[i + 1] = prefix[i]
+        prefix[i + 1, c] += 1.0
+
+    def h(counts, total):
+        return float(_entropy_from_counts(counts, float(total)))
+
+    bounds, partitions = [], [(0, v.size)]
+    while len(bounds) < alphabet_size - 1:
+        choices = [
+            (np.count_nonzero(prefix[e] - prefix[s]) <= 1, -(e - s), s, e)
+            for s, e in partitions
+            if v[s] != v[e - 1]
+        ]
+        if not choices:
+            break
+        _, _, s, e = min(choices)
+        size = e - s
+        h_parent = h(prefix[e] - prefix[s], size)
+        best = None
+        for i in range(s, e - 1):
+            if v[i] == v[i + 1]:
+                continue
+            n_left = float(i + 1 - s)
+            n_right = size - n_left
+            split_h = (n_left / size) * h(prefix[i + 1] - prefix[s], n_left) + (
+                n_right / size
+            ) * h(prefix[e] - prefix[i + 1], n_right)
+            entry = (-max(0.0, h_parent - split_h), abs(n_left - size / 2), i)
+            best = entry if best is None or entry < best else best
+        i = best[2]
+        bounds.append((v[i] + v[i + 1]) / 2.0)
+        partitions.remove((s, e))
+        partitions += [(s, i + 1), (i + 1, e)]
+    bounds.sort()
+    pad = bounds[-1] if bounds else float(v[-1])
+    while len(bounds) < alphabet_size - 1:
+        pad += 1.0
+        bounds.append(pad)
+    return np.asarray(bounds)
+
+
+def test_fit_bins_matches_loop_reference_bit_for_bit():
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        n = int(rng.integers(1, 70))
+        values = np.round(rng.standard_normal(n) * rng.uniform(0.2, 3.0), 1)
+        labels = rng.integers(0, rng.integers(2, 11), n).astype(str)
+        for c in (2, 3, 4):
+            got = fit_bins(values, labels, c)
+            ref = greedy_bins_by_loop(values, labels, c)
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_fit_bins_block_equals_column_fits_bit_for_bit():
+    rng = np.random.default_rng(36)
+    for _ in range(150):
+        m, n_cols = int(rng.integers(1, 90)), int(rng.integers(1, 9))
+        # few distinct values per column: many duplicates and tied gains
+        block = np.round(rng.standard_normal((m, n_cols)), int(rng.integers(0, 2)))
+        labels = rng.integers(0, rng.integers(2, 11), m).astype(str)
+        for c in (2, 3, 4):
+            got = fit_bins(block, labels, c)
+            assert got.shape == (n_cols, c - 1)
+            for j in range(n_cols):
+                alone = fit_bins(block[:, j], labels, c)
+                assert got[j].tobytes() == alone.tobytes()
+                if c == 4:
+                    ref = greedy_bins_by_loop(block[:, j], labels, c)
+                    assert got[j].tobytes() == ref.tobytes()
+
+
+def test_fit_bins_block_columns_match_exhaustive_oracle():
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        m, n_cols = int(rng.integers(2, 50)), int(rng.integers(1, 6))
+        block = np.round(rng.standard_normal((m, n_cols)), 1)
+        labels = rng.integers(0, rng.integers(2, 11), m).astype(str)
+        got = fit_bins(block, labels, 2)
+        for j in range(n_cols):
+            if np.unique(block[:, j]).size < 2:
+                assert got[j, 0] == block[:, j].max() + 1.0  # padded
+            else:
+                assert got[j, 0] == best_boundary_oracle(block[:, j], labels)
 
 
 def test_equi_depth_bins():

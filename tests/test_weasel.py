@@ -18,6 +18,7 @@ from weaselts import (
     serialize_model,
     variant_name,
 )
+from weaselts.weasel import _dataset_bags, _fit_window_models
 
 # three classes told apart by which harmonics carry energy; every class
 # shares the same total power so only the spectral shape is informative
@@ -175,6 +176,41 @@ def test_ragged_training_lengths():
     assert set(model.lengths) == set(range(8, 27))
     pred = model.predict_many(rows)
     assert sum(p == t for p, t in zip(pred, labels)) >= 22
+
+
+@pytest.mark.parametrize("supervised", [True, False])
+@pytest.mark.parametrize("bigrams", [True, False])
+def test_truncated_bags_equal_bags_of_shorter_fits(supervised, bigrams):
+    train, _ = tone_dataset(MASKED_PROFILES, n_train=18, n_test=3, seed=3)
+    cfg = WeaselConfig(supervised=supervised, bigrams=bigrams)
+    series, labels = list(train.series), list(train.labels)
+    lengths = list(range(8, 17))
+    longest = _fit_window_models(series, labels, lengths, 8, cfg)
+    bags = _dataset_bags(series, longest, bigrams, cfg.epsilon)
+    for l in range(1, 8):
+        models = _fit_window_models(series, labels, lengths, l, cfg)
+        for w, model in models.items():
+            np.testing.assert_array_equal(model.columns, longest[w].columns[:l])
+        expect = _dataset_bags(series, models, bigrams, cfg.epsilon)
+        assert [b.truncated(l) for b in bags] == expect
+
+
+def test_cv_fit_equals_single_candidate_fit(masked_fit):
+    train, _, model = masked_fit
+    single = fit_weasel(
+        train, WeaselConfig(word_lengths=(model.word_length,), **CFG16)
+    )
+    assert single.lengths == model.lengths
+    for w in model.lengths:
+        a, b = model.window_models[w], single.window_models[w]
+        assert a.columns.tobytes() == b.columns.tobytes()
+        assert a.boundaries.tobytes() == b.boundaries.tobytes()
+    assert model.features.keys.tobytes() == single.features.keys.tobytes()
+    assert model.features.chi2.tobytes() == single.features.chi2.tobytes()
+    assert model.features_pre == single.features_pre
+    assert model.linear.classes == single.linear.classes
+    assert model.linear.weights.tobytes() == single.linear.weights.tobytes()
+    assert model.linear.bias_weights.tobytes() == single.linear.bias_weights.tobytes()
 
 
 def test_unsupervised_pipeline_runs(masked_fit):
