@@ -11,6 +11,10 @@ packed into an integer key of at most 45 bits:
 Injective for word lengths up to 8, alphabets up to 4, and window
 lengths below 4096, so keys from all window lengths and both kinds can
 share one bag.
+
+``series_keys`` is the one place where sliding windows become keys: it
+serves ``build_bag`` for one series and the batched bag builder of the
+classifier for a stack of equal-length series alike.
 """
 
 from __future__ import annotations
@@ -154,12 +158,19 @@ def series_keys(
     bigrams: bool = True,
     epsilon: float = DEFAULT_EPSILON,
 ) -> np.ndarray:
-    """Unigram (and optionally bigram) keys of one series at one length."""
+    """Unigram (and optionally bigram) keys of every sliding window at
+    one length.
+
+    ``values`` is one series ``(n,)`` or a stack ``(N, n)`` of
+    equal-length series; the keys of each series fill the last axis,
+    unigrams first. A row of a stack gets the keys its series gets alone,
+    bit for bit, so batched and per-series bags agree.
+    """
     words = pack_words(sliding_symbols(values, model, epsilon))
     parts = [unigram_keys(model.w, words)]
     if bigrams:
         parts.append(bigram_keys(model.w, words))
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
 
 
 def build_bag(

@@ -8,12 +8,16 @@ solved with a trust-region Newton method driven by Hessian-vector
 products, so only sparse matrix-vector work is needed. The optimizer is
 fully deterministic and stops when the gradient two-norm falls to the
 tolerance, which makes the tolerance contract directly checkable at the
-returned weights. The bias enters as an implicit constant feature of
-value ``bias`` and is regularized like every other weight.
+returned weights. A solve that stops short of it, at the iteration cap
+or when the trust region can make no more progress, warns with the
+solver's message and the gradient norm it reached. The bias enters as
+an implicit constant feature of value ``bias`` and is regularized like
+every other weight.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +71,14 @@ def _solve_binary(xa: sparse.csr_matrix, y: np.ndarray, c: float, tol: float) ->
         method="trust-ncg",
         options={"gtol": tol, "maxiter": 1000},
     )
+    grad_norm = float(np.linalg.norm(res.jac))
+    if grad_norm > tol:
+        warnings.warn(
+            f"logistic solve stopped with gradient norm {grad_norm:.3g} above the "
+            f"tolerance {tol:g}: {res.message}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     return res.x
 
 

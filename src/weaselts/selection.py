@@ -28,16 +28,21 @@ def chi_squared_stats(observed: np.ndarray, class_totals: np.ndarray) -> np.ndar
     with zero expectation contribute nothing.
     """
     observed = np.asarray(observed, dtype=np.float64)
-    class_totals = np.asarray(class_totals, dtype=np.float64)[:, None]
+    class_totals = np.asarray(class_totals, dtype=np.float64)
     grand = class_totals.sum()
-    feature_totals = observed.sum(axis=0, keepdims=True)
-    other = class_totals - observed
-    exp_feat = feature_totals * class_totals / grand
-    exp_other = (grand - feature_totals) * class_totals / grand
+    feature_totals = observed.sum(axis=0)
+    other_totals = grand - feature_totals
+    stats = np.zeros(observed.shape[1])
+    # One class row at a time, so every temporary is a single row.
     with np.errstate(divide="ignore", invalid="ignore"):
-        top = np.where(exp_feat > 0, (observed - exp_feat) ** 2 / exp_feat, 0.0)
-        bottom = np.where(exp_other > 0, (other - exp_other) ** 2 / exp_other, 0.0)
-    return (top + bottom).sum(axis=0)
+        for obs, total in zip(observed, class_totals):
+            exp_feat = feature_totals * total / grand
+            exp_other = other_totals * total / grand
+            top = np.where(exp_feat > 0, (obs - exp_feat) ** 2 / exp_feat, 0.0)
+            other = total - obs
+            bottom = np.where(exp_other > 0, (other - exp_other) ** 2 / exp_other, 0.0)
+            stats += top + bottom
+    return stats
 
 
 @dataclass(eq=False)
@@ -71,7 +76,7 @@ class FeatureDictionary:
         if self._sorted_keys.size == 0:
             return np.zeros(keys.size, dtype=bool), np.zeros(keys.size, dtype=np.int64)
         pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.minimum(pos, self._sorted_keys.size - 1)
+        np.minimum(pos, self._sorted_keys.size - 1, out=pos)
         mask = self._sorted_keys[pos] == keys
         return mask, self._sorted_cols[pos]
 
@@ -85,18 +90,22 @@ def chi_squared_filter(bags, labels, threshold: float = DEFAULT_CHI2_THRESHOLD) 
     if len(bags) != labels.size:
         raise ValueError("bags and labels must be parallel")
 
-    all_keys = np.concatenate([b.keys for b in bags])
-    all_counts = np.concatenate([b.counts for b in bags]).astype(np.float64)
-    owner = np.concatenate(
-        [np.full(len(b), cid, dtype=np.int64) for b, cid in zip(bags, class_ids)]
-    )
+    # With the bags taken class by class (in their order within a class),
+    # each class's entries form one slice, and no per-entry class array or
+    # mask adds to the memory peak.
+    order = np.argsort(class_ids, kind="stable")
+    all_keys = np.concatenate([bags[i].keys for i in order])
+    all_counts = np.concatenate([bags[i].counts for i in order])
+    sizes = [len(b) for b in bags]
+    ends = np.cumsum(np.bincount(class_ids, weights=sizes)).astype(np.int64)
     vocab, inverse = np.unique(all_keys, return_inverse=True)
     observed = np.zeros((classes.size, vocab.size))
-    for cid in range(classes.size):
-        sel = owner == cid
+    start = 0
+    for cid, end in enumerate(ends):
         observed[cid] = np.bincount(
-            inverse[sel], weights=all_counts[sel], minlength=vocab.size
+            inverse[start:end], weights=all_counts[start:end], minlength=vocab.size
         )
+        start = end
     stats = chi_squared_stats(observed, observed.sum(axis=1))
     keep = stats >= threshold
     kept_keys = vocab[keep]
@@ -106,28 +115,31 @@ def chi_squared_filter(bags, labels, threshold: float = DEFAULT_CHI2_THRESHOLD) 
 
 
 def vectorize(bag: BagOfPatterns, features: FeatureDictionary) -> sparse.csr_matrix:
-    """Counts of the retained keys as a 1 x m sparse row."""
-    mask, cols = features.lookup(bag.keys)
-    data = bag.counts[mask].astype(np.float64)
-    return sparse.csr_matrix(
-        (data, (np.zeros(data.size, dtype=np.int64), cols[mask])),
-        shape=(1, len(features)),
-    )
+    """Counts of the retained keys as a 1 x m sparse row.
+
+    This is the row ``vectorize_all`` gives the bag, so a series scores
+    the same alone and in a batch.
+    """
+    return vectorize_all([bag], features)
 
 
 def vectorize_all(bags, features: FeatureDictionary) -> sparse.csr_matrix:
-    """Stack ``vectorize`` rows for many bags efficiently."""
-    data, indices, indptr = [], [], [0]
-    for bag in bags:
-        mask, cols = features.lookup(bag.keys)
-        cc = cols[mask]
-        order = np.argsort(cc, kind="stable")
-        indices.append(cc[order])
-        data.append(bag.counts[mask][order].astype(np.float64))
-        indptr.append(indptr[-1] + cc.size)
-    if not data:
+    """Counts of the retained keys, one sparse row per bag.
+
+    The keys of all bags go through one dictionary lookup; each row's
+    columns are in increasing order.
+    """
+    if not bags:
         return sparse.csr_matrix((0, len(features)))
+    mask, cols = features.lookup(np.concatenate([b.keys for b in bags]))
+    hit = np.flatnonzero(mask)
+    rows = np.searchsorted(np.cumsum([len(b) for b in bags]), hit, side="right")
+    cols = cols[hit]
+    counts = np.concatenate([b.counts for b in bags])[hit]
+    order = np.argsort(rows * len(features) + cols)  # (row, column) pairs are unique
+    indptr = np.zeros(len(bags) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(bags)), out=indptr[1:])
     return sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.asarray(indptr)),
+        (counts[order].astype(np.float64), cols[order], indptr),
         shape=(len(bags), len(features)),
     )

@@ -9,6 +9,15 @@ surviving counts. The word length is chosen by stratified k-fold
 cross-validation over the configured candidates (ties favor the
 smaller), then the whole pipeline is refit on the full training set.
 
+Every bag, for the fit and for prediction, is built by
+``bop.series_keys``, which transforms a stack of equal-length series at
+once and computes only the selected columns of every sliding window
+(``fourier.sliding_ri_columns``). ``predict`` and ``predict_many`` thus
+run the same arithmetic, and a series gets the same bag, scores and
+label alone as in a batch. Only the fit on label-disjoint windows takes
+whole spectra of materialized windows (``fourier.window_ri_matrix``),
+because it ranks every column.
+
 The candidates share one symbolic fit per fold: the window models are
 fitted and the bags built once, at the longest candidate word length,
 and a shorter candidate's bags follow by truncating every word
@@ -28,17 +37,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fourier
+
+# pack_words and digitize_columns are not called here; they stay imported
+# because the benchmark's tracer (perfbench/spans.py) wraps them by name in
+# this module.
 from .bop import (
     BagOfPatterns,
     MAX_ALPHABET,
     MAX_WORD_LENGTH,
-    bigram_keys,
     build_bag,
     pack_words,
-    unigram_keys,
+    series_keys,
     window_lengths,
 )
 from .errors import ConfigError, InsufficientClassesError, TooShortError
@@ -153,23 +164,20 @@ def _fit_window_models(series_list, labels, lengths, word_length, cfg):
 
 
 def _dataset_bags(series_list, models, bigrams, epsilon):
+    """One bag per series over every fitted length that fits it.
+
+    Equal-length series are transformed as one stack by ``series_keys``,
+    the function ``build_bag`` uses for a single series, so each bag
+    equals the one ``build_bag`` gives its series alone.
+    """
     buffers: list[list[np.ndarray]] = [[] for _ in series_list]
     for n, idx, mat in _length_groups(series_list):
         for w in sorted(models):
             if w > n:
                 continue
-            model = models[w]
-            nw = n - w + 1
-            windows = sliding_window_view(mat, w, axis=1).reshape(-1, w)
-            ri = fourier.window_ri_matrix(windows, epsilon)
-            values = ri[:, model.columns].reshape(idx.size, nw, -1)
-            words = pack_words(digitize_columns(values, model.boundaries))
-            uni = unigram_keys(w, words)
-            big = bigram_keys(w, words) if bigrams else None
+            keys = series_keys(mat, models[w], bigrams, epsilon)
             for row, i in enumerate(idx):
-                buffers[i].append(uni[row])
-                if big is not None and big.shape[-1] > 0:
-                    buffers[i].append(big[row])
+                buffers[i].append(keys[row])
     empty = np.empty(0, dtype=np.int64)
     return [
         BagOfPatterns.from_key_stream(np.concatenate(b) if b else empty)

@@ -199,6 +199,17 @@ def test_series_keys_counts_and_contents():
     assert series_keys(series, model, bigrams=False).shape == (13,)
 
 
+def test_series_keys_of_a_stack_equal_per_series_keys():
+    rng = np.random.default_rng(52)
+    for w, bigrams in ((8, True), (9, False), (10, True)):
+        model = fitted_model(w, seed=53 + w)
+        block = rng.standard_normal((5, 37)) + rng.uniform(-1e3, 1e3, (5, 1))
+        got = series_keys(block, model, bigrams)
+        assert got.shape == (5, series_keys(block[0], model, bigrams).size)
+        for row, values in zip(got, block):
+            assert row.tobytes() == series_keys(values, model, bigrams).tobytes()
+
+
 def test_build_bag_totals_across_lengths():
     models = {8: fitted_model(8), 9: fitted_model(9, seed=45)}
     rng = np.random.default_rng(46)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,7 @@ def test_solution_satisfies_gradient_tolerance():
         assert np.linalg.norm(loss_gradient(w, xa, y, 1.0)) <= tol
 
 
+@pytest.mark.filterwarnings("ignore:logistic solve stopped:RuntimeWarning")
 def test_binary_classes_learn_mirrored_weights():
     rng = np.random.default_rng(76)
     x, labels = separable_counts(rng)
@@ -123,6 +125,18 @@ def test_binary_classes_learn_mirrored_weights():
     for row, sign in ((0, 1.0), (1, -1.0)):
         w = np.concatenate([model.weights[row], [model.bias_weights[row]]])
         assert np.linalg.norm(loss_gradient(w, xa, sign * y, 1.0)) <= 0.1
+
+
+def test_solve_short_of_tolerance_warns():
+    rng = np.random.default_rng(76)
+    x, labels = separable_counts(rng)
+    # trust-ncg gives up on these data before the gradient norm gets to 1e-9
+    message = r"gradient norm 7\.4\de-09 above the tolerance 1e-09: A bad approximation"
+    with pytest.warns(RuntimeWarning, match=message):
+        train_linear(x, labels, tolerance=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        train_linear(x, labels, tolerance=0.1)
 
 
 def test_score_layout_and_zero_vector():

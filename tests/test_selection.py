@@ -148,6 +148,26 @@ def test_vectorize_matches_column_lookup():
         np.testing.assert_array_equal(vectorize(bag, features).toarray()[0], expect)
 
 
+def test_vectorize_all_equals_per_bag_rows_exactly():
+    rng = np.random.default_rng(64)
+    bags = [BagOfPatterns.from_key_stream(rng.integers(0, 60, rng.integers(0, 40)))
+            for _ in range(12)]
+    features = chi_squared_filter(bags, ["a", "b", "c"] * 4, threshold=0.5)
+    data, indices, indptr = [], [], [0]
+    for bag in bags:  # the CSR arrays built row by row from column_of
+        cols = [features.column_of(int(k)) for k in bag.keys]
+        row = sorted((c, int(n)) for c, n in zip(cols, bag.counts) if c >= 0)
+        indices += [c for c, _ in row]
+        data += [float(n) for _, n in row]
+        indptr.append(len(indices))
+    x = vectorize_all(bags, features)
+    assert x.shape == (12, len(features))
+    assert x.data.dtype == np.float64 and x.data.tolist() == data
+    assert x.indices.tolist() == indices
+    assert x.indptr.tolist() == indptr
+    assert vectorize_all([], features).shape == (0, len(features))
+
+
 def test_vectorize_all_stacks_single_rows():
     rng = np.random.default_rng(63)
     bags = [BagOfPatterns.from_key_stream(rng.integers(0, 30, 50)) for _ in range(10)]

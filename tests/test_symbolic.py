@@ -405,6 +405,25 @@ def test_digitize_boundary_values_fall_low():
     )
 
 
+def test_digitize_matches_per_column_binary_search():
+    rng = np.random.default_rng(35)
+    for alphabet in (2, 3, 4):
+        bounds = np.sort(rng.standard_normal((6, alphabet - 1)), axis=1)
+        # a third of the values sit exactly on a boundary
+        vals = rng.standard_normal((5, 40, 6))
+        on = rng.random(vals.shape) < 1 / 3
+        pick = rng.integers(0, alphabet - 1, vals.shape)
+        vals[on] = np.take_along_axis(
+            np.broadcast_to(bounds, vals.shape[:-1] + bounds.shape), pick[..., None], -1
+        )[..., 0][on]
+        expect = np.empty(vals.shape, dtype=np.int64)
+        for j in range(6):
+            expect[..., j] = np.searchsorted(bounds[j], vals[..., j], side="left")
+        got = digitize_columns(vals, bounds)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expect)
+
+
 # ---------------------------------------------------------------------------
 # the fitted symbolic model
 
@@ -436,6 +455,30 @@ def test_fit_symbolic_model_unsupervised_uses_leading_columns():
     model = fit_symbolic_model(window_ri_matrix(rows), labels, 16, 4, 3, supervised=False)
     np.testing.assert_array_equal(model.columns, [2, 3, 4, 5])
     assert model.boundaries.shape == (4, 2)
+
+
+def f_by_column(matrix, labels):
+    groups = [matrix[labels == c] for c in np.unique(labels)]
+    return np.array([anova_f([g[:, j] for g in groups]) for j in range(matrix.shape[1])])
+
+
+def test_fit_picks_dc_column_only_when_nonzero_columns_run_out():
+    rng = np.random.default_rng(36)
+    rows, labels = _toy_windows(rng, n_rows=40, w=8)
+    ri = window_ri_matrix(rows)
+    _, f = select_coefficients(ri, labels, ri.shape[1])
+    # the DC pair and the Nyquist imaginary part are exact zeros, so their
+    # F is zero; at w=8 the other 7 columns all separate the classes a bit
+    nonzero = np.flatnonzero(f_by_column(ri, labels) > 0)
+    np.testing.assert_array_equal(nonzero, [2, 3, 4, 5, 6, 7, 8])
+    assert np.all(f[-3:] == 0.0)
+    for l in range(1, 8):
+        model = fit_symbolic_model(ri, labels, 8, l, 4)
+        assert 0 not in model.columns
+    # an eighth symbol needs a zero column; the lowest index wins the tie
+    model = fit_symbolic_model(ri, labels, 8, 8, 4)
+    assert sorted(model.columns[:7]) == list(range(2, 9))
+    assert model.columns[7] == 0
 
 
 def test_transform_word_matches_manual_pipeline():

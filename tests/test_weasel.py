@@ -18,7 +18,9 @@ from weaselts import (
     serialize_model,
     variant_name,
 )
-from weaselts.weasel import _dataset_bags, _fit_window_models
+from weaselts import synthetic
+from weaselts.bop import build_bag
+from weaselts.weasel import _dataset_bags, _fit_window_models, _predict_batch
 
 # three classes told apart by which harmonics carry energy; every class
 # shares the same total power so only the spectral shape is informative
@@ -224,14 +226,49 @@ def test_unsupervised_pipeline_runs(masked_fit):
 # prediction
 
 
+def assert_paths_agree(model, series):
+    """Batched bags, scores and labels equal the per-series ones, bit for bit."""
+    cfg = model.config
+    bags = _dataset_bags(series, model.window_models, cfg.bigrams, cfg.epsilon)
+    assert bags == [
+        build_bag(ts, model.window_models, cfg.bigrams, epsilon=cfg.epsilon)
+        for ts in series
+    ]
+    _, scores = _predict_batch(bags, model.features, model.linear, cfg)
+    for ts, row in zip(series, scores):
+        assert model.predict_scores(ts).tobytes() == row.tobytes()
+    assert model.predict_many(series) == [model.predict(ts) for ts in series]
+
+
 def test_predict_many_matches_single_predictions(masked_fit):
     _, test, model = masked_fit
-    batch = model.predict_many(test)
-    singles = [model.predict(ts) for ts in test.series]
-    assert batch == singles
+    assert_paths_agree(model, test.series)
     scores = model.predict_scores(test.series[0])
     assert scores.shape == (3,)
-    assert model.classes[int(np.argmax(scores))] == batch[0]
+    assert model.classes[int(np.argmax(scores))] == model.predict(test.series[0])
+    # default fits on the benchmark's fit_cv data, on the seeds where the
+    # two paths used to disagree
+    for seed in (104, 105, 108, 110):
+        train, test = synthetic.shift_invariance(20, 100, length=48, seed=seed)
+        assert_paths_agree(fit_weasel(train), test.series)
+
+
+def test_predictions_ignore_offset_and_scale_of_long_series():
+    # what z-normalization promises, on series far longer than the
+    # training series and far from zero mean
+    train, _ = synthetic.shift_invariance(40, 1, length=64, seed=7)
+    model = fit_weasel(train, WeaselConfig(word_lengths=(6,)))
+    queries, _ = synthetic.shift_invariance(4, 1, length=2048, seed=8)
+    cfg = model.config
+    base = _dataset_bags(queries.series, model.window_models, cfg.bigrams, cfg.epsilon)
+    scores = [model.predict_scores(ts).tobytes() for ts in queries.series]
+    labels = model.predict_many(queries)
+    for a, b in ((1.0, 1e6), (0.5, -1e6), (3.0, 1e3), (1.0, -2.5)):
+        moved = [TimeSeries(a * ts.values + b) for ts in queries.series]
+        assert _dataset_bags(moved, model.window_models, cfg.bigrams, cfg.epsilon) == base
+        assert [model.predict_scores(ts).tobytes() for ts in moved] == scores
+        assert model.predict_many(moved) == labels
+        assert [model.predict(ts) for ts in moved] == labels
 
 
 def test_predict_rejects_too_short_series(masked_fit):
