@@ -21,9 +21,9 @@ from .errors import (
     WeaselError,
     WindowLengthError,
 )
-from .fourier import FourierCoefficients, coefficient_subset, dft, sliding_ri_columns, window_ri_matrix
+from .fourier import sliding_ri_columns, window_ri_matrix
 from .harness import BenchRow, BenchmarkReport, apply_flags, nn_accuracy, nn_euclidean, run_benchmark
-from .linear import LinearModel, decision_scores, predict_labels, train_linear
+from .linear import LinearModel, decision_scores, train_linear
 from .selection import DEFAULT_CHI2_THRESHOLD, FeatureDictionary, chi_squared_filter, chi_squared_stats, vectorize, vectorize_all
 from .symbolic import (
     SymbolicModel,
@@ -35,9 +35,8 @@ from .symbolic import (
     select_coefficients,
     sliding_symbols,
     split_gain,
-    transform_word,
 )
-from .ts import DEFAULT_EPSILON, LabeledDataset, TimeSeries, Window, disjoint_windows, sliding_windows, znormalize
+from .ts import DEFAULT_EPSILON, LabeledDataset, TimeSeries, znormalize
 from .ucr import load_ucr, load_ucr_file
 from .weasel import (
     WeaselConfig,
@@ -45,7 +44,6 @@ from .weasel import (
     deserialize_model,
     fit_weasel,
     load_model,
-    predict,
     save_model,
     serialize_model,
     variant_name,

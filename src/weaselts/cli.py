@@ -146,9 +146,8 @@ def _dispatch(args) -> int:
                 print("error: --baseline ed needs --train", file=sys.stderr)
                 return 1
             from .harness import nn_accuracy
-            from .ucr import load_ucr_file as load
 
-            acc = nn_accuracy(load(args.train), test)
+            acc = nn_accuracy(load_ucr_file(args.train), test)
         elif args.model is not None:
             from .weasel import load_model
 
@@ -160,7 +159,6 @@ def _dispatch(args) -> int:
             if args.train is None:
                 print("error: eval needs --model or --train", file=sys.stderr)
                 return 1
-            from .ucr import load_ucr_file
             from .weasel import fit_weasel
 
             model = fit_weasel(load_ucr_file(args.train), _config_from(args))

@@ -4,8 +4,9 @@ The contract is the plain unnormalized forward transform
 
     X_k = sum_t x_t * exp(-2*pi*i*k*t/w),   k = 0 .. floor(w/2),
 
-of which only the non-redundant half spectrum is kept. ``dft`` computes
-exactly that for one window.
+of a z-normalized window, of which only the non-redundant half spectrum
+is kept. That sum, evaluated term by term in O(w^2) per window, is the
+reference both forms below are checked against.
 
 Two batched forms serve the classifier. ``window_ri_matrix`` returns the
 whole spectrum of z-normalized windows that are already materialized;
@@ -24,80 +25,20 @@ imaginary part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericInputError, SelectionError, ShapeError, WindowLengthError
+from .errors import SelectionError, WindowLengthError
 from .ts import DEFAULT_EPSILON, znormalize_rows
-
-
-@dataclass(frozen=True, eq=False)
-class FourierCoefficients:
-    """Half spectrum of one window: parallel real and imaginary parts."""
-
-    reals: np.ndarray
-    imags: np.ndarray
-    w: int
-
-    @property
-    def m(self) -> int:
-        """Number of retained coefficients, floor(w/2) + 1."""
-        return int(self.reals.shape[0])
-
-    def interleaved(self) -> np.ndarray:
-        """Columns [real_0, imag_0, real_1, imag_1, ...] as one vector."""
-        out = np.empty(2 * self.m)
-        out[0::2] = self.reals
-        out[1::2] = self.imags
-        return out
-
-
-def dft(window) -> FourierCoefficients:
-    """Half-spectrum DFT of one (already normalized) window."""
-    x = np.asarray(window, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ShapeError("dft expects a 1-D window of length >= 2")
-    if not np.all(np.isfinite(x)):
-        raise NumericInputError("dft input must be finite")
-    spec = np.fft.rfft(x)
-    reals = spec.real.copy()
-    imags = spec.imag.copy()
-    imags[0] = 0.0
-    if x.size % 2 == 0:
-        imags[-1] = 0.0  # Nyquist bin of a real signal is purely real
-    return FourierCoefficients(reals, imags, int(x.size))
-
-
-def coefficient_subset(fc: FourierCoefficients, indices) -> np.ndarray:
-    """Pick out ``[("real", k) | ("imag", k), ...]`` values in order."""
-    out = np.empty(len(indices))
-    for j, (kind, k) in enumerate(indices):
-        if kind not in ("real", "imag"):
-            raise SelectionError(f"unknown coefficient kind {kind!r}")
-        if not 0 <= k < fc.m:
-            raise SelectionError(f"coefficient index {k} out of range for m={fc.m}")
-        out[j] = fc.reals[k] if kind == "real" else fc.imags[k]
-    return out
-
-
-def column_index(kind: str, k: int) -> int:
-    if kind not in ("real", "imag"):
-        raise SelectionError(f"unknown coefficient kind {kind!r}")
-    return 2 * k + (kind == "imag")
-
-
-def column_label(col: int):
-    return ("imag" if col & 1 else "real", col >> 1)
 
 
 def window_ri_matrix(windows: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """Z-normalize rows of ``windows`` and return interleaved spectra.
 
-    Output has shape ``(rows, 2 * (floor(w/2) + 1))`` with columns in
-    ``column_index`` order. The DC pair and, for even ``w``, the Nyquist
-    imaginary part are exactly zero, as in ``sliding_ri_columns``.
+    Output has shape ``(rows, 2 * (floor(w/2) + 1))`` with interleaved
+    columns. The DC pair and, for even ``w``, the Nyquist imaginary part
+    are exactly zero, as in ``sliding_ri_columns``.
     """
     w = windows.shape[1]
     spec = np.fft.rfft(znormalize_rows(windows, epsilon), axis=1)

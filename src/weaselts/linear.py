@@ -126,12 +126,6 @@ def decision_scores(model: LinearModel, vectors) -> np.ndarray:
     return x @ model.weights.T + model.bias * model.bias_weights
 
 
-def predict_labels(model: LinearModel, vectors) -> list:
-    """Argmax class per row; ties go to the first class in order."""
-    scores = decision_scores(model, vectors)
-    return [model.classes[i] for i in np.argmax(scores, axis=1)]
-
-
 def loss_gradient(model_weights, xa, y, reg_tradeoff: float) -> np.ndarray:
     """Gradient of the regularized loss at given stacked weights.
 

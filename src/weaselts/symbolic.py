@@ -7,12 +7,12 @@ A window becomes a short word over a small alphabet in three steps:
 2. learn, per kept column, ``alphabet - 1`` bin boundaries that greedily
    maximize information gain of the label partition; the bins of all
    kept columns are learned in one pass (``fit_bins``);
-3. map each window's column values to bin symbols (``transform_word``).
+3. map the kept column values of every sliding window to bin symbols
+   (``sliding_symbols``).
 
-Both fitting steps see only label-disjoint windows; the transform is
-applied to every sliding window. The unsupervised variants used by the
-ablation harness (leading low-frequency columns, equi-depth bins) live
-here as well.
+Both fitting steps see only label-disjoint windows. The unsupervised
+variants used by the ablation harness (leading low-frequency columns,
+equi-depth bins) live here as well.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     ConfigError,
     ShapeError,
 )
-from .ts import DEFAULT_EPSILON, znormalize
+from .ts import DEFAULT_EPSILON
 from . import fourier
 
 
@@ -289,10 +289,6 @@ class SymbolicModel:
     columns: np.ndarray  # (word_length,) interleaved column ids
     boundaries: np.ndarray  # (word_length, alphabet_size - 1)
 
-    @property
-    def coefficient_indices(self):
-        return [fourier.column_label(int(c)) for c in self.columns]
-
 
 def fit_symbolic_model(
     ri_matrix: np.ndarray,
@@ -329,16 +325,6 @@ def digitize_columns(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     for t in range(1, boundaries.shape[1]):
         symbols += values > boundaries[:, t]
     return symbols
-
-
-def transform_word(window_values, model: SymbolicModel, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Symbol sequence of one raw window under a fitted model."""
-    x = np.asarray(window_values, dtype=np.float64)
-    if x.ndim != 1 or x.size != model.w:
-        raise ShapeError(f"expected a window of length {model.w}, got shape {x.shape}")
-    fc = fourier.dft(znormalize(x, epsilon))
-    values = fc.interleaved()[model.columns]
-    return digitize_columns(values, model.boundaries)
 
 
 def sliding_symbols(series_values, model: SymbolicModel, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:

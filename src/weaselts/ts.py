@@ -1,7 +1,4 @@
-"""Time-series containers, z-normalization, and window extraction.
-
-Window offsets are 1-based throughout the public API.
-"""
+"""Time-series containers and z-normalization."""
 
 from __future__ import annotations
 
@@ -9,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericInputError, ShapeError, WindowLengthError
+from .errors import NumericInputError, ShapeError
 
 DEFAULT_EPSILON = 1e-8
 
@@ -35,18 +32,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return self.n
-
-
-@dataclass(frozen=True, eq=False)
-class Window:
-    """A contiguous view into a series; ``offset`` is 1-based."""
-
-    offset: int
-    values: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return int(self.values.shape[0])
 
 
 class LabeledDataset:
@@ -96,31 +81,6 @@ class LabeledDataset:
 
     def __iter__(self):
         return iter(self.samples)
-
-
-def _check_window_length(n: int, w: int) -> None:
-    if w < 1:
-        raise WindowLengthError(f"window length must be >= 1, got {w}")
-    if w > n:
-        raise WindowLengthError(f"window length {w} exceeds series length {n}")
-
-
-def sliding_windows(ts: TimeSeries, w: int):
-    """All windows of length ``w`` at offsets 1 .. n - w + 1."""
-    _check_window_length(ts.n, w)
-    return [Window(a + 1, ts.values[a : a + w]) for a in range(ts.n - w + 1)]
-
-
-def disjoint_windows(ts: TimeSeries, w: int):
-    """Non-overlapping windows at offsets 1, w + 1, 2w + 1, ...
-
-    Unlike ``sliding_windows``, a window longer than the series is not
-    an error: there are simply zero disjoint windows and the caller
-    treats that length as unfittable.
-    """
-    if w < 1:
-        raise WindowLengthError(f"window length must be >= 1, got {w}")
-    return [Window(a + 1, ts.values[a : a + w]) for a in range(0, ts.n - w + 1, w)]
 
 
 def znormalize(values, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -256,9 +256,8 @@ class WeaselModel:
     def predict_scores(self, ts: TimeSeries):
         """Per-class scores for one series, in ``classes`` order."""
         self._check_length(ts)
-        usable = [w for w in self.lengths if w <= ts.n]
         bag = build_bag(
-            ts, self.window_models, self.config.bigrams, usable, self.config.epsilon
+            ts, self.window_models, self.config.bigrams, epsilon=self.config.epsilon
         )
         x = vectorize(bag, self.features)
         if self.config.normalize_features:
@@ -359,11 +358,6 @@ def fit_weasel(train: LabeledDataset, config: WeaselConfig | None = None) -> Wea
     return WeaselModel(cfg, chosen, models, features, lin, features.n_candidates)
 
 
-def predict(model: WeaselModel, ts: TimeSeries) -> str:
-    """Predicted class label for one series."""
-    return model.predict(ts)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -374,21 +368,8 @@ def _model_document(model: WeaselModel) -> dict:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "config": {
+            **{f.name: getattr(cfg, f.name) for f in fields(WeaselConfig)},
             "word_lengths": [int(l) for l in cfg.word_lengths],
-            "alphabet": cfg.alphabet,
-            "chi_threshold": cfg.chi_threshold,
-            "w_min": cfg.w_min,
-            "w_max": cfg.w_max,
-            "w_stride": cfg.w_stride,
-            "bigrams": cfg.bigrams,
-            "supervised": cfg.supervised,
-            "folds": cfg.folds,
-            "seed": cfg.seed,
-            "reg_tradeoff": cfg.reg_tradeoff,
-            "tolerance": cfg.tolerance,
-            "bias": cfg.bias,
-            "normalize_features": cfg.normalize_features,
-            "epsilon": cfg.epsilon,
         },
         "word_length": model.word_length,
         "features_pre": model.features_pre,
@@ -426,29 +407,27 @@ def save_model(model: WeaselModel, path) -> None:
 
 
 def deserialize_model(text: str) -> WeaselModel:
-    doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
+    """Rebuild a model from ``serialize_model`` text; a document that is
+    not JSON, not a model document, or lacks a field raises
+    ``ConfigError``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"model file is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_VERSION:
         raise ConfigError(f"unsupported model version {doc.get('version')!r}")
+    try:
+        return _model_from_document(doc)
+    except KeyError as exc:
+        raise ConfigError(f"model document lacks the field {exc}") from None
+
+
+def _model_from_document(doc: dict) -> WeaselModel:
     c = doc["config"]
-    cfg = WeaselConfig(
-        word_lengths=tuple(c["word_lengths"]),
-        alphabet=c["alphabet"],
-        chi_threshold=c["chi_threshold"],
-        w_min=c["w_min"],
-        w_max=c["w_max"],
-        w_stride=c["w_stride"],
-        bigrams=c["bigrams"],
-        supervised=c["supervised"],
-        folds=c["folds"],
-        seed=c["seed"],
-        reg_tradeoff=c["reg_tradeoff"],
-        tolerance=c["tolerance"],
-        bias=c["bias"],
-        normalize_features=c["normalize_features"],
-        epsilon=c["epsilon"],
-    )
+    values = {f.name: c[f.name] for f in fields(WeaselConfig)}
+    cfg = WeaselConfig(**{**values, "word_lengths": tuple(values["word_lengths"])})
     word_length = int(doc["word_length"])
     models = {}
     for entry in doc["window_models"]:
@@ -475,4 +454,8 @@ def deserialize_model(text: str) -> WeaselModel:
 
 def load_model(path) -> WeaselModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return deserialize_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"model file is not UTF-8 text: {exc}") from None
+    return deserialize_model(text)

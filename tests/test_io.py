@@ -352,3 +352,20 @@ def test_cli_error_paths(tmp_path, capsys):
 
     assert main(["eval", "--test", str(ok)]) == 1
     assert "needs --model or --train" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b"[]",
+    b'{"format":"weaselts-model","version":1}',
+    b"not json at all",
+    b"\xa1\xff binary",
+])
+def test_cli_rejects_malformed_model_files(bench_dir, tmp_path, capsys, content):
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(content)
+    test = str(bench_dir / "sine_TEST.txt")
+    assert main(["predict", "--model", str(model_path), "--test", test]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    with pytest.raises(ConfigError):
+        load_model(model_path)

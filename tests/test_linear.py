@@ -10,7 +10,6 @@ from weaselts import (
     LinearModel,
     ShapeError,
     decision_scores,
-    predict_labels,
     train_linear,
 )
 from weaselts.linear import _solve_binary, loss_gradient
@@ -37,7 +36,8 @@ def test_separable_data_fits_perfectly():
     rng = np.random.default_rng(70)
     x, labels = separable_counts(rng)
     model = train_linear(x, labels)
-    assert predict_labels(model, x) == labels
+    pred = np.argmax(decision_scores(model, x), axis=1)
+    assert [model.classes[i] for i in pred] == labels
     assert model.classes == ["a", "b"]
     assert model.weights.shape == (2, 3)
     assert model.bias_weights.shape == (2,)
@@ -53,7 +53,8 @@ def test_three_class_one_vs_rest():
     x = np.vstack(rows)
     model = train_linear(x, labels)
     assert model.classes == ["a", "b", "c"]
-    assert predict_labels(model, x) == labels
+    pred = np.argmax(decision_scores(model, x), axis=1)
+    assert [model.classes[i] for i in pred] == labels
 
 
 def test_sparse_and_dense_inputs_agree():
@@ -161,14 +162,16 @@ def test_tied_scores_pick_first_class():
         bias_weights=np.zeros(3),
         bias=1.0,
     )
-    assert predict_labels(model, np.array([[1.0, 2.0], [0.0, 0.0]])) == ["a", "a"]
+    scores = decision_scores(model, np.array([[1.0, 2.0], [0.0, 0.0]]))
+    np.testing.assert_array_equal(np.argmax(scores, axis=1), [0, 0])
     partial = LinearModel(
         classes=["a", "b", "c"],
         weights=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
         bias_weights=np.zeros(3),
         bias=1.0,
     )
-    assert predict_labels(partial, np.array([[2.0, 5.0]])) == ["a"]
+    scores = decision_scores(partial, np.array([[2.0, 5.0]]))
+    np.testing.assert_array_equal(np.argmax(scores, axis=1), [0])
 
 
 def test_input_validation():

@@ -9,7 +9,6 @@ from weaselts import (
     InvalidSplitError,
     ShapeError,
     anova_f,
-    dft,
     entropy,
     equi_depth_bins,
     fit_bins,
@@ -17,9 +16,7 @@ from weaselts import (
     select_coefficients,
     sliding_symbols,
     split_gain,
-    transform_word,
     window_ri_matrix,
-    znormalize,
 )
 from weaselts.symbolic import _entropy_from_counts, digitize_columns, leading_columns
 
@@ -445,8 +442,7 @@ def test_fit_symbolic_model_supervised_shapes():
     assert model.columns.shape == (4,)
     assert model.boundaries.shape == (4, 3)
     assert model.w == 16 and model.word_length == 4 and model.alphabet_size == 4
-    kinds = model.coefficient_indices
-    assert all(kind in ("real", "imag") for kind, _ in kinds)
+    assert np.all((0 <= model.columns) & (model.columns < 2 * (16 // 2 + 1)))
 
 
 def test_fit_symbolic_model_unsupervised_uses_leading_columns():
@@ -481,35 +477,6 @@ def test_fit_picks_dc_column_only_when_nonzero_columns_run_out():
     assert model.columns[7] == 0
 
 
-def test_transform_word_matches_manual_pipeline():
-    rng = np.random.default_rng(31)
-    rows, labels = _toy_windows(rng)
-    model = fit_symbolic_model(window_ri_matrix(rows), labels, 16, 4, 4)
-    window = rng.standard_normal(16)
-    word = transform_word(window, model)
-    manual = dft(znormalize(window)).interleaved()[model.columns]
-    np.testing.assert_array_equal(word, digitize_columns(manual, model.boundaries))
-    assert word.dtype == np.int64
-    assert np.all((0 <= word) & (word < 4))
-
-
-def test_transform_word_affine_invariance():
-    rng = np.random.default_rng(32)
-    rows, labels = _toy_windows(rng)
-    model = fit_symbolic_model(window_ri_matrix(rows), labels, 16, 6, 4)
-    window = rng.standard_normal(16)
-    word = transform_word(window, model)
-    np.testing.assert_array_equal(word, transform_word(3.0 * window + 11.0, model))
-
-
-def test_transform_word_length_check():
-    rng = np.random.default_rng(33)
-    rows, labels = _toy_windows(rng)
-    model = fit_symbolic_model(window_ri_matrix(rows), labels, 16, 4, 4)
-    with pytest.raises(ShapeError):
-        transform_word(np.arange(10.0), model)
-
-
 def test_sliding_symbols_agree_with_per_window_words():
     rng = np.random.default_rng(34)
     rows, labels = _toy_windows(rng)
@@ -517,5 +484,6 @@ def test_sliding_symbols_agree_with_per_window_words():
     series = rng.standard_normal(50)
     stream = sliding_symbols(series, model)
     assert stream.shape == (35, 4)
-    for a in range(35):
-        np.testing.assert_array_equal(stream[a], transform_word(series[a : a + 16], model))
+    windows = np.lib.stride_tricks.sliding_window_view(series, 16)
+    values = window_ri_matrix(np.ascontiguousarray(windows))[:, model.columns]
+    np.testing.assert_array_equal(stream, digitize_columns(values, model.boundaries))

@@ -7,9 +7,6 @@ from weaselts import (
     NumericInputError,
     ShapeError,
     TimeSeries,
-    WindowLengthError,
-    disjoint_windows,
-    sliding_windows,
     znormalize,
 )
 from weaselts.ts import znormalize_rows
@@ -34,49 +31,6 @@ def test_time_series_rejects_bad_input():
         TimeSeries([1.0, np.nan])
     with pytest.raises(NumericInputError):
         TimeSeries([np.inf, 0.0])
-
-
-def test_sliding_window_offsets_are_one_based():
-    ts = TimeSeries(np.arange(6.0))
-    wins = sliding_windows(ts, 4)
-    assert [win.offset for win in wins] == [1, 2, 3]
-    assert all(win.length == 4 for win in wins)
-    np.testing.assert_array_equal(wins[1].values, [1.0, 2.0, 3.0, 4.0])
-
-
-def test_sliding_window_counts():
-    assert len(sliding_windows(TimeSeries(np.arange(5.0)), 5)) == 1
-    assert len(sliding_windows(TimeSeries(np.arange(100.0)), 8)) == 93
-
-
-def test_sliding_window_length_errors():
-    ts = TimeSeries(np.arange(4.0))
-    with pytest.raises(WindowLengthError):
-        sliding_windows(ts, 0)
-    with pytest.raises(WindowLengthError):
-        sliding_windows(ts, 5)
-
-
-def test_disjoint_window_offsets():
-    ts = TimeSeries(np.arange(10.0))
-    wins = disjoint_windows(ts, 4)
-    assert [win.offset for win in wins] == [1, 5]
-    assert len(disjoint_windows(TimeSeries(np.arange(8.0)), 8)) == 1
-
-
-def test_disjoint_windows_too_long_yield_nothing():
-    # an 8-window cannot be cut from 7 points; the length is unfittable
-    assert disjoint_windows(TimeSeries(np.arange(7.0)), 8) == []
-
-
-def test_window_count_property():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        n = int(rng.integers(1, 40))
-        w = int(rng.integers(1, n + 1))
-        ts = TimeSeries(rng.standard_normal(n))
-        assert len(sliding_windows(ts, w)) == n - w + 1
-        assert len(disjoint_windows(ts, w)) == n // w
 
 
 def test_znormalize_basic():

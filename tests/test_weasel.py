@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -316,3 +317,23 @@ def test_deserialize_rejects_foreign_documents():
         deserialize_model(json.dumps({"format": "something-else", "version": 1}))
     with pytest.raises(ConfigError):
         deserialize_model(json.dumps({"format": "weaselts-model", "version": 99}))
+
+
+def test_every_config_field_survives_a_round_trip():
+    train, _ = tone_dataset(MASKED_PROFILES, n_train=12, n_test=3)
+    cfg = WeaselConfig(
+        word_lengths=(5,), alphabet=3, chi_threshold=1.5, w_min=12, w_max=14,
+        w_stride=2, bigrams=False, supervised=False, folds=3, seed=7,
+        reg_tradeoff=2.0, tolerance=0.05, bias=0.5, normalize_features=True,
+        epsilon=1e-7,
+    )
+    # a field added later fails here until it is given a non-default value
+    assert all(getattr(cfg, f.name) != f.default for f in fields(WeaselConfig))
+    model = fit_weasel(train, cfg)
+    text = serialize_model(model)
+    assert deserialize_model(text).config == model.config == cfg
+    # a missing field is an error, not a silent default
+    doc = json.loads(text)
+    del doc["config"]["epsilon"]
+    with pytest.raises(ConfigError, match="epsilon"):
+        deserialize_model(json.dumps(doc))
