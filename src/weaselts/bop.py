@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, WindowLengthError
-from .ts import DEFAULT_EPSILON, TimeSeries
+from .errors import ConfigError
+from .ts import TimeSeries
 from .symbolic import SymbolicModel, sliding_symbols
 
 KIND_UNIGRAM = 0
@@ -38,18 +38,16 @@ MAX_ALPHABET = 4
 MIN_WINDOW_LENGTH = 8
 
 
-def window_lengths(n: int, w_min: int = 8, w_max: int | None = None, stride: int = 1):
+def window_lengths(n: int, w_min: int = 8, w_max: int | None = None):
     """All window lengths from ``w_min`` up to ``min(w_max, n)``."""
     if w_min < MIN_WINDOW_LENGTH:
         raise ConfigError(f"minimum window length is {MIN_WINDOW_LENGTH}, got {w_min}")
-    if stride < 1:
-        raise ConfigError(f"window-length stride must be >= 1, got {stride}")
     hi = n if w_max is None else min(w_max, n)
     if hi > MAX_WINDOW_LENGTH:
         raise ConfigError(f"window lengths above {MAX_WINDOW_LENGTH} cannot be packed")
     if w_min > hi:
         raise ConfigError(f"empty window-length range [{w_min}, {hi}]")
-    return list(range(w_min, hi + 1, stride))
+    return list(range(w_min, hi + 1))
 
 
 def pack_words(symbols: np.ndarray) -> np.ndarray:
@@ -153,10 +151,7 @@ class BagOfPatterns:
 
 
 def series_keys(
-    values: np.ndarray,
-    model: SymbolicModel,
-    bigrams: bool = True,
-    epsilon: float = DEFAULT_EPSILON,
+    values: np.ndarray, model: SymbolicModel, bigrams: bool = True
 ) -> np.ndarray:
     """Unigram (and optionally bigram) keys of every sliding window at
     one length.
@@ -166,35 +161,19 @@ def series_keys(
     unigrams first. A row of a stack gets the keys its series gets alone,
     bit for bit, so batched and per-series bags agree.
     """
-    words = pack_words(sliding_symbols(values, model, epsilon))
+    words = pack_words(sliding_symbols(values, model))
     parts = [unigram_keys(model.w, words)]
     if bigrams:
         parts.append(bigram_keys(model.w, words))
     return np.concatenate(parts, axis=-1)
 
 
-def build_bag(
-    ts: TimeSeries,
-    models: dict,
-    bigrams: bool = True,
-    lengths=None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> BagOfPatterns:
-    """One unified bag over the given window lengths.
-
-    ``lengths`` defaults to every fitted length that fits the series. A
-    requested length without a fitted model is a configuration error.
-    """
-    if lengths is None:
-        lengths = [w for w in sorted(models) if w <= ts.n]
-    streams = []
-    for w in lengths:
-        model = models.get(w)
-        if model is None:
-            raise ConfigError(f"no fitted symbolic model for window length {w}")
-        if w > ts.n:
-            raise WindowLengthError(f"window length {w} exceeds series length {ts.n}")
-        streams.append(series_keys(ts.values, model, bigrams, epsilon))
+def build_bag(ts: TimeSeries, models: dict, bigrams: bool = True) -> BagOfPatterns:
+    """One unified bag over every fitted window length that fits the
+    series."""
+    streams = [
+        series_keys(ts.values, models[w], bigrams) for w in sorted(models) if w <= ts.n
+    ]
     if not streams:
         raise ConfigError("no usable window length for this series")
     return BagOfPatterns.from_key_stream(np.concatenate(streams))

@@ -148,20 +148,18 @@ def _dispatch(args) -> int:
             from .harness import nn_accuracy
 
             acc = nn_accuracy(load_ucr_file(args.train), test)
-        elif args.model is not None:
-            from .weasel import load_model
-
-            model = load_model(args.model)
-            hits = sum(p == lab for p, lab in
-                       zip(model.predict_many(test.series), test.labels))
-            acc = hits / len(test.labels)
         else:
-            if args.train is None:
+            if args.model is not None:
+                from .weasel import load_model
+
+                model = load_model(args.model)
+            elif args.train is None:
                 print("error: eval needs --model or --train", file=sys.stderr)
                 return 1
-            from .weasel import fit_weasel
+            else:
+                from .weasel import fit_weasel
 
-            model = fit_weasel(load_ucr_file(args.train), _config_from(args))
+                model = fit_weasel(load_ucr_file(args.train), _config_from(args))
             hits = sum(p == lab for p, lab in
                        zip(model.predict_many(test.series), test.labels))
             acc = hits / len(test.labels)

@@ -16,7 +16,9 @@ sliding window of a series, or of a stack of equal-length series,
 through prefix sums, in O(n) per column instead of O(n * w); every bag
 of words, in fitting and in prediction, is built from it. It must agree
 with the direct transform to within 1e-6, also for series far from
-zero mean.
+zero mean. Both map a window whose deviation is at most
+``ts.DEFAULT_EPSILON``, the package's one flat-window threshold, to an
+all-zero row.
 
 Real and imaginary parts are addressed as interleaved columns: column
 ``2k`` is the real part of coefficient ``k`` and column ``2k + 1`` the
@@ -33,7 +35,7 @@ from .errors import SelectionError, WindowLengthError
 from .ts import DEFAULT_EPSILON, znormalize_rows
 
 
-def window_ri_matrix(windows: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def window_ri_matrix(windows: np.ndarray) -> np.ndarray:
     """Z-normalize rows of ``windows`` and return interleaved spectra.
 
     Output has shape ``(rows, 2 * (floor(w/2) + 1))`` with interleaved
@@ -41,7 +43,7 @@ def window_ri_matrix(windows: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> n
     are exactly zero, as in ``sliding_ri_columns``.
     """
     w = windows.shape[1]
-    spec = np.fft.rfft(znormalize_rows(windows, epsilon), axis=1)
+    spec = np.fft.rfft(znormalize_rows(windows), axis=1)
     out = np.empty((windows.shape[0], 2 * spec.shape[1]))
     out[:, 0::2] = spec.real
     out[:, 1::2] = spec.imag
@@ -68,9 +70,7 @@ def _window_sums(arr: np.ndarray, w: int) -> np.ndarray:
     return p[..., w:] - p[..., : p.shape[-1] - w]
 
 
-def sliding_ri_columns(
-    series, w: int, columns, epsilon: float = DEFAULT_EPSILON
-) -> np.ndarray:
+def sliding_ri_columns(series, w: int, columns) -> np.ndarray:
     """Selected spectrum columns of every z-normalized sliding window.
 
     ``series`` may be one series ``(n,)`` or a stack ``(..., n)`` of
@@ -88,8 +88,8 @@ def sliding_ri_columns(
     Each series is first centered on its own mean: that changes no
     normalized window, and it keeps the prefix sums of a series with a
     large offset from drowning its windows' variation in rounding. A
-    window whose deviation is at most ``epsilon``, or whose values are
-    all equal, maps to an all-zero row.
+    flat window, deviation at most ``DEFAULT_EPSILON`` or all values
+    equal, maps to an all-zero row.
     """
     raw = np.asarray(series, dtype=np.float64)
     n = raw.shape[-1]
@@ -111,7 +111,7 @@ def sliding_ri_columns(
     sums = _window_sums(moments, w)
     mu = sums.real / w
     sd = np.sqrt(np.maximum(sums.imag / w - mu * mu, 0.0))
-    flat = sd <= epsilon
+    flat = sd <= DEFAULT_EPSILON
     # A window of equal values is found exactly, by counting its changes
     # of value: the deviation from the sums above keeps a rounding residue
     # that would otherwise be scaled up to a nonzero row.

@@ -11,8 +11,12 @@ tolerance, which makes the tolerance contract directly checkable at the
 returned weights. A solve that stops short of it, at the iteration cap
 or when the trust region can make no more progress, warns with the
 solver's message and the gradient norm it reached. The bias enters as
-an implicit constant feature of value ``bias`` and is regularized like
-every other weight.
+an implicit constant feature and is regularized like every other
+weight.
+
+The classifier uses fixed values: C = 1, bias feature 1 and tolerance
+0.1. Only the tolerance can be passed, so that tests can check the
+stationarity contract at other values.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from scipy.special import expit
 
 from .errors import InsufficientClassesError, ShapeError
 
-DEFAULT_REG_TRADEOFF = 1.0
+C = 1.0
+BIAS = 1.0
 DEFAULT_TOLERANCE = 0.1
-DEFAULT_BIAS = 1.0
 
 
 @dataclass(eq=False)
@@ -82,13 +86,7 @@ def _solve_binary(xa: sparse.csr_matrix, y: np.ndarray, c: float, tol: float) ->
     return res.x
 
 
-def train_linear(
-    vectors,
-    labels,
-    reg_tradeoff: float = DEFAULT_REG_TRADEOFF,
-    tolerance: float = DEFAULT_TOLERANCE,
-    bias: float = DEFAULT_BIAS,
-) -> LinearModel:
+def train_linear(vectors, labels, tolerance: float = DEFAULT_TOLERANCE) -> LinearModel:
     """Fit one-vs-rest logistic weights on sparse count vectors."""
     x = _as_csr(vectors)
     labels = np.asarray([str(lab) for lab in labels])
@@ -98,7 +96,7 @@ def train_linear(
     if len(classes) < 2:
         raise InsufficientClassesError("training needs >= 2 classes")
 
-    ones = np.full((x.shape[0], 1), float(bias))
+    ones = np.full((x.shape[0], 1), BIAS)
     xa = sparse.hstack([x, sparse.csr_matrix(ones)], format="csr")
     weights = np.empty((len(classes), x.shape[1]))
     bias_weights = np.empty(len(classes))
@@ -107,13 +105,13 @@ def train_linear(
     solved = classes[:1] if len(classes) == 2 else classes
     for i, cls in enumerate(solved):
         y = np.where(labels == cls, 1.0, -1.0)
-        w = _solve_binary(xa, y, float(reg_tradeoff), float(tolerance))
+        w = _solve_binary(xa, y, C, float(tolerance))
         weights[i] = w[:-1]
         bias_weights[i] = w[-1]
     if len(classes) == 2:
         weights[1] = -weights[0]
         bias_weights[1] = -bias_weights[0]
-    return LinearModel(classes, weights, bias_weights, float(bias))
+    return LinearModel(classes, weights, bias_weights, BIAS)
 
 
 def decision_scores(model: LinearModel, vectors) -> np.ndarray:
@@ -126,11 +124,11 @@ def decision_scores(model: LinearModel, vectors) -> np.ndarray:
     return x @ model.weights.T + model.bias * model.bias_weights
 
 
-def loss_gradient(model_weights, xa, y, reg_tradeoff: float) -> np.ndarray:
+def loss_gradient(model_weights, xa, y, c: float) -> np.ndarray:
     """Gradient of the regularized loss at given stacked weights.
 
     Exposed so tests can check the solver's stationarity contract
     against finite differences.
     """
     margins = y * (xa @ model_weights)
-    return model_weights - reg_tradeoff * (xa.T @ (y * expit(-margins)))
+    return model_weights - c * (xa.T @ (y * expit(-margins)))

@@ -29,7 +29,6 @@ from .errors import (
     ConfigError,
     ShapeError,
 )
-from .ts import DEFAULT_EPSILON
 from . import fourier
 
 
@@ -327,8 +326,8 @@ def digitize_columns(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     return symbols
 
 
-def sliding_symbols(series_values, model: SymbolicModel, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def sliding_symbols(series_values, model: SymbolicModel) -> np.ndarray:
     """Symbols for every sliding window of one series, shape (n-w+1, l),
     or of a stack of equal-length series, shape (N, n-w+1, l)."""
-    vals = fourier.sliding_ri_columns(series_values, model.w, model.columns, epsilon)
+    vals = fourier.sliding_ri_columns(series_values, model.w, model.columns)
     return digitize_columns(vals, model.boundaries)

@@ -1,4 +1,8 @@
-"""Time-series containers and z-normalization."""
+"""Time-series containers and z-normalization.
+
+A window whose deviation is at or below ``DEFAULT_EPSILON`` (1e-8) is
+flat: every z-normalization in the package maps it to all zeros.
+"""
 
 from __future__ import annotations
 
@@ -83,12 +87,12 @@ class LabeledDataset:
         return iter(self.samples)
 
 
-def znormalize(values, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def znormalize(values) -> np.ndarray:
     """Shift to mean zero and scale to unit standard deviation.
 
     The standard deviation is the population form (divide by the window
-    length). A window whose deviation is at or below ``epsilon`` maps to
-    the all-zero vector instead of blowing up.
+    length). A flat window, deviation at or below ``DEFAULT_EPSILON``,
+    maps to the all-zero vector instead of blowing up.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -96,14 +100,14 @@ def znormalize(values, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericInputError("znormalize input must be finite")
     sd = x.std()
-    if sd <= epsilon:
+    if sd <= DEFAULT_EPSILON:
         return np.zeros_like(x)
     return (x - x.mean()) / sd
 
 
-def znormalize_rows(mat: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def znormalize_rows(mat: np.ndarray) -> np.ndarray:
     """Row-wise ``znormalize`` for a stack of equal-length windows."""
     mu = mat.mean(axis=1, keepdims=True)
     sd = mat.std(axis=1, keepdims=True)
-    flat = sd <= epsilon
+    flat = sd <= DEFAULT_EPSILON
     return np.where(flat, 0.0, (mat - mu) / np.where(flat, 1.0, sd))

@@ -62,10 +62,10 @@ from .selection import (
     vectorize_all,
 )
 from .symbolic import SymbolicModel, digitize_columns, fit_symbolic_model
-from .ts import DEFAULT_EPSILON, LabeledDataset, TimeSeries
+from .ts import LabeledDataset, TimeSeries
 
 MODEL_FORMAT = "weaselts-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -78,16 +78,10 @@ class WeaselConfig:
     chi_threshold: float = DEFAULT_CHI2_THRESHOLD
     w_min: int = 8
     w_max: int | None = None
-    w_stride: int = 1
     bigrams: bool = True
     supervised: bool = True
     folds: int = 10
     seed: int = 0
-    reg_tradeoff: float = 1.0
-    tolerance: float = 0.1
-    bias: float = 1.0
-    normalize_features: bool = False
-    epsilon: float = DEFAULT_EPSILON
 
     def validate(self) -> None:
         if not self.word_lengths:
@@ -154,7 +148,7 @@ def _fit_window_models(series_list, labels, lengths, word_length, cfg):
         window_labels = np.concatenate(labs)
         if np.unique(window_labels).size < 2:
             continue  # this length cannot be fitted on the data at hand
-        ri = fourier.window_ri_matrix(np.vstack(mats), cfg.epsilon)
+        ri = fourier.window_ri_matrix(np.vstack(mats))
         models[w] = fit_symbolic_model(
             ri, window_labels, w, word_length, cfg.alphabet, cfg.supervised
         )
@@ -163,7 +157,7 @@ def _fit_window_models(series_list, labels, lengths, word_length, cfg):
     return models
 
 
-def _dataset_bags(series_list, models, bigrams, epsilon):
+def _dataset_bags(series_list, models, bigrams):
     """One bag per series over every fitted length that fits it.
 
     Equal-length series are transformed as one stack by ``series_keys``,
@@ -175,7 +169,7 @@ def _dataset_bags(series_list, models, bigrams, epsilon):
         for w in sorted(models):
             if w > n:
                 continue
-            keys = series_keys(mat, models[w], bigrams, epsilon)
+            keys = series_keys(mat, models[w], bigrams)
             for row, i in enumerate(idx):
                 buffers[i].append(keys[row])
     empty = np.empty(0, dtype=np.int64)
@@ -185,27 +179,15 @@ def _dataset_bags(series_list, models, bigrams, epsilon):
     ]
 
 
-def _normalize_rows(x):
-    norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
-    scale = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 1.0)
-    return x.multiply(scale[:, None]).tocsr()
-
-
 def _fit_fixed(bags, labels, cfg):
     """Chi-squared filter and linear solve on the bags of one word length."""
     features = chi_squared_filter(bags, labels, cfg.chi_threshold)
-    x = vectorize_all(bags, features)
-    if cfg.normalize_features:
-        x = _normalize_rows(x)
-    lin = train_linear(x, labels, cfg.reg_tradeoff, cfg.tolerance, cfg.bias)
+    lin = train_linear(vectorize_all(bags, features), labels)
     return features, lin
 
 
-def _predict_batch(bags, features, lin, cfg):
-    x = vectorize_all(bags, features)
-    if cfg.normalize_features:
-        x = _normalize_rows(x)
-    scores = decision_scores(lin, x)
+def _predict_batch(bags, features, lin):
+    scores = decision_scores(lin, vectorize_all(bags, features))
     return [lin.classes[i] for i in np.argmax(scores, axis=1)], scores
 
 
@@ -256,13 +238,8 @@ class WeaselModel:
     def predict_scores(self, ts: TimeSeries):
         """Per-class scores for one series, in ``classes`` order."""
         self._check_length(ts)
-        bag = build_bag(
-            ts, self.window_models, self.config.bigrams, epsilon=self.config.epsilon
-        )
-        x = vectorize(bag, self.features)
-        if self.config.normalize_features:
-            x = _normalize_rows(x)
-        return decision_scores(self.linear, x)[0]
+        bag = build_bag(ts, self.window_models, self.config.bigrams)
+        return decision_scores(self.linear, vectorize(bag, self.features))[0]
 
     def predict(self, ts: TimeSeries) -> str:
         scores = self.predict_scores(ts)
@@ -274,10 +251,8 @@ class WeaselModel:
             series = series.series
         for s in series:
             self._check_length(s)
-        bags = _dataset_bags(
-            series, self.window_models, self.config.bigrams, self.config.epsilon
-        )
-        labels, _ = _predict_batch(bags, self.features, self.linear, self.config)
+        bags = _dataset_bags(series, self.window_models, self.config.bigrams)
+        labels, _ = _predict_batch(bags, self.features, self.linear)
         return labels
 
     def save(self, path) -> None:
@@ -300,7 +275,7 @@ def fit_weasel(train: LabeledDataset, config: WeaselConfig | None = None) -> Wea
             f"shortest training series ({min_n}) is below w_min ({cfg.w_min})"
         )
     max_n = max(train.lengths())
-    lengths = window_lengths(max_n, cfg.w_min, cfg.w_max, cfg.w_stride)
+    lengths = window_lengths(max_n, cfg.w_min, cfg.w_max)
 
     candidates = sorted({int(l) for l in cfg.word_lengths})
     chosen = candidates[0]
@@ -328,9 +303,9 @@ def fit_weasel(train: LabeledDataset, config: WeaselConfig | None = None) -> Wea
                 models = _fit_window_models(
                     sub_series, sub_labels, lengths, candidates[-1], cfg
                 )
-                train_bags = _dataset_bags(sub_series, models, cfg.bigrams, cfg.epsilon)
+                train_bags = _dataset_bags(sub_series, models, cfg.bigrams)
                 val_bags = _dataset_bags(
-                    [train.series[i] for i in va], models, cfg.bigrams, cfg.epsilon
+                    [train.series[i] for i in va], models, cfg.bigrams
                 )
                 truth = [train.labels[i] for i in va]
                 for l in candidates:
@@ -340,7 +315,7 @@ def fit_weasel(train: LabeledDataset, config: WeaselConfig | None = None) -> Wea
                     else:
                         tb, vb = train_bags, val_bags
                     feats, lin = _fit_fixed(tb, sub_labels, cfg)
-                    pred, _ = _predict_batch(vb, feats, lin, cfg)
+                    pred, _ = _predict_batch(vb, feats, lin)
                     accs[l].append(
                         sum(p == t for p, t in zip(pred, truth)) / len(truth)
                     )
@@ -353,7 +328,7 @@ def fit_weasel(train: LabeledDataset, config: WeaselConfig | None = None) -> Wea
 
     series, labels = list(train.series), list(train.labels)
     models = _fit_window_models(series, labels, lengths, chosen, cfg)
-    bags = _dataset_bags(series, models, cfg.bigrams, cfg.epsilon)
+    bags = _dataset_bags(series, models, cfg.bigrams)
     features, lin = _fit_fixed(bags, labels, cfg)
     return WeaselModel(cfg, chosen, models, features, lin, features.n_candidates)
 
@@ -408,8 +383,8 @@ def save_model(model: WeaselModel, path) -> None:
 
 def deserialize_model(text: str) -> WeaselModel:
     """Rebuild a model from ``serialize_model`` text; a document that is
-    not JSON, not a model document, or lacks a field raises
-    ``ConfigError``."""
+    not JSON, not a model document of this version, lacks a field, or
+    holds arrays that do not fit together raises ``ConfigError``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -422,33 +397,48 @@ def deserialize_model(text: str) -> WeaselModel:
         return _model_from_document(doc)
     except KeyError as exc:
         raise ConfigError(f"model document lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed model document: {exc}") from None
 
 
 def _model_from_document(doc: dict) -> WeaselModel:
+    # Whole-array checks only, so that a large model loads in parsing time.
     c = doc["config"]
-    values = {f.name: c[f.name] for f in fields(WeaselConfig)}
+    names = [f.name for f in fields(WeaselConfig)]
+    if not isinstance(c, dict) or not set(c) <= set(names):
+        raise ConfigError(f"model config is not an object of the fields {names}")
+    values = {name: c[name] for name in names}
     cfg = WeaselConfig(**{**values, "word_lengths": tuple(values["word_lengths"])})
+    cfg.validate()
     word_length = int(doc["word_length"])
-    models = {}
-    for entry in doc["window_models"]:
-        models[int(entry["w"])] = SymbolicModel(
-            int(entry["w"]),
-            word_length,
-            cfg.alphabet,
-            np.asarray(entry["columns"], dtype=np.int64),
-            np.asarray(entry["boundaries"], dtype=np.float64),
-        )
-    features = FeatureDictionary(
-        np.asarray(doc["features"]["keys"], dtype=np.int64),
-        np.asarray(doc["features"]["chi2"], dtype=np.float64),
-        int(doc["features_pre"]),
-    )
-    lin = LinearModel(
-        [str(x) for x in doc["linear"]["classes"]],
-        np.asarray(doc["linear"]["weights"], dtype=np.float64),
-        np.asarray(doc["linear"]["bias_weights"], dtype=np.float64),
-        float(doc["linear"]["bias"]),
-    )
+    entries = doc["window_models"]
+    ws = [int(e["w"]) for e in entries]
+    columns = np.asarray([e["columns"] for e in entries], dtype=np.int64)
+    bounds = np.asarray([e["boundaries"] for e in entries], dtype=np.float64)
+    in_spectrum = (columns >= 0) & (columns < 2 * (np.asarray(ws)[:, None] // 2 + 1))
+    if columns.shape != (len(ws), word_length) or not in_spectrum.all():
+        raise ConfigError(f"window models need {word_length} in-spectrum columns each")
+    if bounds.shape != (len(ws), word_length, cfg.alphabet - 1):
+        raise ConfigError(f"window model boundaries shaped {bounds.shape[1:]}")
+    if not (np.isfinite(bounds).all() and (np.diff(bounds) > 0).all()):
+        raise ConfigError("window model boundaries do not strictly increase")
+    models = {w: SymbolicModel(w, word_length, cfg.alphabet, c, b)
+              for w, c, b in zip(ws, columns, bounds)}
+    keys = np.asarray(doc["features"]["keys"], dtype=np.int64)
+    chi2 = np.asarray(doc["features"]["chi2"], dtype=np.float64)
+    if keys.ndim != 1 or chi2.shape != keys.shape:
+        raise ConfigError(f"{keys.shape} feature keys but {chi2.shape} scores")
+    features = FeatureDictionary(keys, chi2, int(doc["features_pre"]))
+    if np.any(features._sorted_keys[1:] == features._sorted_keys[:-1]):
+        raise ConfigError("a feature key repeats")
+    classes = [str(x) for x in doc["linear"]["classes"]]
+    weights = np.asarray(doc["linear"]["weights"], dtype=np.float64)
+    bias_weights = np.asarray(doc["linear"]["bias_weights"], dtype=np.float64)
+    k, d = len(classes), len(features)
+    if weights.shape != (k, d) or bias_weights.shape != (k,):
+        raise ConfigError(f"weights shaped {weights.shape} and {bias_weights.shape} "
+                          f"do not fit {k} classes and {d} features")
+    lin = LinearModel(classes, weights, bias_weights, float(doc["linear"]["bias"]))
     return WeaselModel(cfg, word_length, models, features, lin, int(doc["features_pre"]))
 
 

@@ -7,7 +7,6 @@ from weaselts import (
     BagOfPatterns,
     ConfigError,
     TimeSeries,
-    WindowLengthError,
     bigram_keys,
     build_bag,
     fit_symbolic_model,
@@ -114,7 +113,6 @@ def test_window_lengths_ranges():
     assert window_lengths(16) == list(range(8, 17))
     assert window_lengths(100, 8, 12) == [8, 9, 10, 11, 12]
     assert window_lengths(10, 9) == [9, 10]
-    assert window_lengths(16, 8, None, 2) == [8, 10, 12, 14, 16]
     # w_max past the series is clipped, not an error
     assert window_lengths(9, 8, 50) == [8, 9]
 
@@ -122,8 +120,6 @@ def test_window_lengths_ranges():
 def test_window_lengths_validation():
     with pytest.raises(ConfigError):
         window_lengths(16, 7)
-    with pytest.raises(ConfigError):
-        window_lengths(16, 8, None, 0)
     with pytest.raises(ConfigError):
         window_lengths(5000)
     with pytest.raises(ConfigError):
@@ -219,8 +215,6 @@ def test_build_bag_totals_across_lengths():
     assert bag.total() == (13 + 5) + (12 + 3)
     uni_only = build_bag(ts, models, bigrams=False)
     assert uni_only.total() == 13 + 12
-    just_nine = build_bag(ts, models, lengths=[9])
-    assert set(key_window_length(just_nine.keys).tolist()) == {9}
 
 
 def test_build_bag_default_skips_lengths_past_series():
@@ -233,11 +227,6 @@ def test_build_bag_default_skips_lengths_past_series():
 
 def test_build_bag_validation():
     models = {8: fitted_model(8)}
-    ts = TimeSeries(np.arange(12, dtype=np.float64))
-    with pytest.raises(ConfigError):
-        build_bag(ts, models, lengths=[10])
-    with pytest.raises(WindowLengthError):
-        build_bag(ts, {16: fitted_model(16, seed=49)}, lengths=[16])
     with pytest.raises(ConfigError):
         build_bag(TimeSeries(np.arange(4, dtype=np.float64)), models)
 

@@ -1,3 +1,6 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,14 @@ from weaselts import (
     ShapeError,
     TimeSeries,
     WeaselConfig,
+    fit_weasel,
     load_model,
     load_ucr,
     load_ucr_file,
     nn_accuracy,
     nn_euclidean,
     run_benchmark,
+    serialize_model,
 )
 from weaselts.cli import main
 from weaselts.harness import ABLATION_MATRIX, ablation_suite, apply_flags
@@ -369,3 +374,89 @@ def test_cli_rejects_malformed_model_files(bench_dir, tmp_path, capsys, content)
     assert captured.err.startswith("error:") and captured.out == ""
     with pytest.raises(ConfigError):
         load_model(model_path)
+
+
+@pytest.fixture(scope="module")
+def model_document(tmp_path_factory):
+    """The document of a small fitted model, and a query file for it."""
+    train, test = synthetic.shift_invariance(10, 2, length=48, seed=1)
+    model = fit_weasel(train, WeaselConfig(word_lengths=(4,)))
+    test_path = tmp_path_factory.mktemp("queries") / "test.txt"
+    write_ucr(test_path, [(lab, ts.values) for ts, lab in test.samples])
+    return json.loads(serialize_model(model)), str(test_path)
+
+
+def predict_with(doc, tmp_path, test):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    return main(["predict", "--model", str(model_path), "--test", test])
+
+
+def test_cli_rejects_version_1_model_files(model_document, tmp_path, capsys):
+    doc, test = model_document
+    assert predict_with(doc, tmp_path, test) == 0
+    capsys.readouterr()
+    # the previous format: version 1, with six more config fields
+    old = copy.deepcopy(doc)
+    old["version"] = 1
+    old["config"].update(w_stride=1, reg_tradeoff=1.0, tolerance=0.1, bias=1.0,
+                         normalize_features=False, epsilon=1e-8)
+    assert predict_with(old, tmp_path, test) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unsupported model version 1")
+    assert captured.out == ""
+
+
+def _first_window(doc):
+    return doc["window_models"][0]  # window length 8: 10 spectrum columns
+
+
+def _each_window(doc, change):
+    for entry in doc["window_models"]:
+        change(entry)
+
+
+COLUMNS = "4 in-spectrum columns each"
+MALFORMED = "malformed model document"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(lambda d: d.update(config=[]), "model config is not an object",
+                 id="config-list"),
+    pytest.param(lambda d: d["config"].update(epsilon=1e-8),
+                 "model config is not an object", id="config-unknown-field"),
+    pytest.param(lambda d: d["config"].update(alphabet=5),
+                 "alphabet size must be in 2..4", id="config-invalid"),
+    pytest.param(lambda d: d["linear"].update(weights=d["linear"]["weights"][:1]),
+                 "weights shaped", id="weights-one-row"),
+    pytest.param(lambda d: d["linear"]["bias_weights"].pop(), "weights shaped",
+                 id="bias-weights-short"),
+    pytest.param(lambda d: d["linear"]["weights"][0].pop(), MALFORMED,
+                 id="weights-ragged"),
+    pytest.param(lambda d: _each_window(d, lambda e: e["columns"].pop()), COLUMNS,
+                 id="columns-short"),
+    pytest.param(lambda d: _first_window(d)["columns"].__setitem__(0, 10), COLUMNS,
+                 id="column-above-range"),
+    pytest.param(lambda d: _first_window(d)["columns"].__setitem__(0, -1), COLUMNS,
+                 id="column-negative"),
+    pytest.param(lambda d: _first_window(d)["columns"].pop(), MALFORMED,
+                 id="columns-ragged"),
+    pytest.param(lambda d: _each_window(d, lambda e: e["boundaries"].pop()),
+                 "boundaries shaped (3, 3)", id="boundaries-short"),
+    pytest.param(lambda d: _first_window(d)["boundaries"][0].reverse(),
+                 "do not strictly increase", id="boundaries-unsorted"),
+    pytest.param(lambda d: d["features"]["chi2"].pop(), "feature keys but",
+                 id="chi2-short"),
+    pytest.param(lambda d: d["features"]["keys"].__setitem__(1, d["features"]["keys"][0]),
+                 "a feature key repeats", id="key-repeated"),
+])
+def test_cli_rejects_inconsistent_model_files(
+    model_document, tmp_path, capsys, corrupt, message
+):
+    doc, test = model_document
+    doc = copy.deepcopy(doc)
+    corrupt(doc)
+    assert predict_with(doc, tmp_path, test) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""

@@ -94,7 +94,7 @@ def test_solution_satisfies_gradient_tolerance():
     rng = np.random.default_rng(75)
     x, labels = separable_counts(rng)
     tol = 0.1
-    model = train_linear(x, labels, reg_tradeoff=1.0, tolerance=tol, bias=1.0)
+    model = train_linear(x, labels, tolerance=tol)
     xa = sparse.hstack(
         [sparse.csr_matrix(x), sparse.csr_matrix(np.ones((x.shape[0], 1)))],
         format="csr",

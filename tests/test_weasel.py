@@ -19,7 +19,7 @@ from weaselts import (
     serialize_model,
     variant_name,
 )
-from weaselts import synthetic
+from weaselts import cli, synthetic
 from weaselts.bop import build_bag
 from weaselts.weasel import _dataset_bags, _fit_window_models, _predict_batch
 
@@ -189,12 +189,12 @@ def test_truncated_bags_equal_bags_of_shorter_fits(supervised, bigrams):
     series, labels = list(train.series), list(train.labels)
     lengths = list(range(8, 17))
     longest = _fit_window_models(series, labels, lengths, 8, cfg)
-    bags = _dataset_bags(series, longest, bigrams, cfg.epsilon)
+    bags = _dataset_bags(series, longest, bigrams)
     for l in range(1, 8):
         models = _fit_window_models(series, labels, lengths, l, cfg)
         for w, model in models.items():
             np.testing.assert_array_equal(model.columns, longest[w].columns[:l])
-        expect = _dataset_bags(series, models, bigrams, cfg.epsilon)
+        expect = _dataset_bags(series, models, bigrams)
         assert [b.truncated(l) for b in bags] == expect
 
 
@@ -230,12 +230,9 @@ def test_unsupervised_pipeline_runs(masked_fit):
 def assert_paths_agree(model, series):
     """Batched bags, scores and labels equal the per-series ones, bit for bit."""
     cfg = model.config
-    bags = _dataset_bags(series, model.window_models, cfg.bigrams, cfg.epsilon)
-    assert bags == [
-        build_bag(ts, model.window_models, cfg.bigrams, epsilon=cfg.epsilon)
-        for ts in series
-    ]
-    _, scores = _predict_batch(bags, model.features, model.linear, cfg)
+    bags = _dataset_bags(series, model.window_models, cfg.bigrams)
+    assert bags == [build_bag(ts, model.window_models, cfg.bigrams) for ts in series]
+    _, scores = _predict_batch(bags, model.features, model.linear)
     for ts, row in zip(series, scores):
         assert model.predict_scores(ts).tobytes() == row.tobytes()
     assert model.predict_many(series) == [model.predict(ts) for ts in series]
@@ -261,12 +258,12 @@ def test_predictions_ignore_offset_and_scale_of_long_series():
     model = fit_weasel(train, WeaselConfig(word_lengths=(6,)))
     queries, _ = synthetic.shift_invariance(4, 1, length=2048, seed=8)
     cfg = model.config
-    base = _dataset_bags(queries.series, model.window_models, cfg.bigrams, cfg.epsilon)
+    base = _dataset_bags(queries.series, model.window_models, cfg.bigrams)
     scores = [model.predict_scores(ts).tobytes() for ts in queries.series]
     labels = model.predict_many(queries)
     for a, b in ((1.0, 1e6), (0.5, -1e6), (3.0, 1e3), (1.0, -2.5)):
         moved = [TimeSeries(a * ts.values + b) for ts in queries.series]
-        assert _dataset_bags(moved, model.window_models, cfg.bigrams, cfg.epsilon) == base
+        assert _dataset_bags(moved, model.window_models, cfg.bigrams) == base
         assert [model.predict_scores(ts).tobytes() for ts in moved] == scores
         assert model.predict_many(moved) == labels
         assert [model.predict(ts) for ts in moved] == labels
@@ -294,7 +291,7 @@ def test_serialized_document_shape(masked_fit):
     _, _, model = masked_fit
     doc = json.loads(serialize_model(model))
     assert doc["format"] == "weaselts-model"
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert set(doc) >= {"config", "word_length", "window_models", "features", "linear"}
     assert serialize_model(model).endswith("\n")
 
@@ -321,19 +318,20 @@ def test_deserialize_rejects_foreign_documents():
 
 def test_every_config_field_survives_a_round_trip():
     train, _ = tone_dataset(MASKED_PROFILES, n_train=12, n_test=3)
-    cfg = WeaselConfig(
-        word_lengths=(5,), alphabet=3, chi_threshold=1.5, w_min=12, w_max=14,
-        w_stride=2, bigrams=False, supervised=False, folds=3, seed=7,
-        reg_tradeoff=2.0, tolerance=0.05, bias=0.5, normalize_features=True,
-        epsilon=1e-7,
-    )
-    # a field added later fails here until it is given a non-default value
+    args = cli.build_parser().parse_args([
+        "fit", "--train", "train.txt", "--model", "model.json",
+        "--word-lengths", "5", "--alphabet", "3", "--chi", "1.5",
+        "--wmin", "12", "--wmax", "14", "--no-bigrams", "--unsupervised",
+        "--folds", "3", "--seed", "7",
+    ])
+    cfg = cli._config_from(args)
+    # a field added later fails here until a command-line flag can set it
     assert all(getattr(cfg, f.name) != f.default for f in fields(WeaselConfig))
     model = fit_weasel(train, cfg)
     text = serialize_model(model)
     assert deserialize_model(text).config == model.config == cfg
     # a missing field is an error, not a silent default
     doc = json.loads(text)
-    del doc["config"]["epsilon"]
-    with pytest.raises(ConfigError, match="epsilon"):
+    del doc["config"]["alphabet"]
+    with pytest.raises(ConfigError, match="alphabet"):
         deserialize_model(json.dumps(doc))
