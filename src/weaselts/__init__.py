@@ -6,13 +6,10 @@ pruned by a chi-squared filter, and scored by a regularized linear
 model. See fit_weasel for the end-to-end entry point.
 """
 
-from .bop import BagOfPatterns, build_bag, pack_words, unigram_keys, bigram_keys, unpack_key, unpack_word, window_lengths
+from .bop import BagOfPatterns, build_bag, pack_words, unigram_keys, bigram_keys, unpack_key, window_lengths
 from .errors import (
     ConfigError,
-    EmptyPartitionError,
     InsufficientClassesError,
-    InsufficientGroupsError,
-    InvalidSplitError,
     NumericInputError,
     ParseError,
     SelectionError,
@@ -27,16 +24,13 @@ from .linear import LinearModel, decision_scores, train_linear
 from .selection import DEFAULT_CHI2_THRESHOLD, FeatureDictionary, chi_squared_filter, chi_squared_stats, vectorize, vectorize_all
 from .symbolic import (
     SymbolicModel,
-    anova_f,
-    entropy,
     equi_depth_bins,
     fit_bins,
     fit_symbolic_model,
     select_coefficients,
     sliding_symbols,
-    split_gain,
 )
-from .ts import DEFAULT_EPSILON, LabeledDataset, TimeSeries, znormalize
+from .ts import DEFAULT_EPSILON, LabeledDataset, TimeSeries
 from .ucr import load_ucr, load_ucr_file
 from .weasel import (
     WeaselConfig,

@@ -59,11 +59,6 @@ def pack_words(symbols: np.ndarray) -> np.ndarray:
     return symbols.astype(np.int64) @ weights
 
 
-def unpack_word(word: int, word_length: int) -> np.ndarray:
-    shifts = 2 * np.arange(word_length, dtype=np.int64)
-    return (np.int64(word) >> shifts) & 3
-
-
 def unigram_keys(w: int, words: np.ndarray) -> np.ndarray:
     return (np.int64(w) << _W_SHIFT) | words
 
@@ -79,14 +74,6 @@ def bigram_keys(w: int, words: np.ndarray) -> np.ndarray:
         return np.empty(words.shape[:-1] + (0,), dtype=np.int64)
     head = (np.int64(w) << _W_SHIFT) | (np.int64(1) << _KIND_SHIFT)
     return head | (words[..., :-w] << _PREV_SHIFT) | words[..., w:]
-
-
-def key_window_length(keys) -> np.ndarray:
-    return np.asarray(keys, dtype=np.int64) >> _W_SHIFT
-
-
-def key_kind(keys) -> np.ndarray:
-    return (np.asarray(keys, dtype=np.int64) >> _KIND_SHIFT) & 1
 
 
 def unpack_key(key: int):
@@ -126,18 +113,6 @@ class BagOfPatterns:
         keys, inverse = np.unique(self.keys & keep, return_inverse=True)
         counts = np.bincount(inverse, weights=self.counts, minlength=keys.size)
         return BagOfPatterns(keys, counts.astype(np.int64))
-
-    def get(self, key: int) -> int:
-        pos = np.searchsorted(self.keys, key)
-        if pos < self.keys.size and self.keys[pos] == key:
-            return int(self.counts[pos])
-        return 0
-
-    def as_dict(self) -> dict:
-        return {int(k): int(c) for k, c in zip(self.keys, self.counts)}
-
-    def total(self) -> int:
-        return int(self.counts.sum())
 
     def __len__(self) -> int:
         return int(self.keys.size)

@@ -173,12 +173,10 @@ def _dispatch(args) -> int:
             args.dirs, _config_from(args),
             baseline_ed=args.baseline == "ed",
             log=lambda msg: print(msg, file=sys.stderr))
-        text = report.emit()
         if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            report.save(args.out)
         else:
-            print(text, end="")
+            print(report.emit(), end="")
         if not report.rows:
             return 2
         return 0

@@ -26,20 +26,8 @@ class SelectionError(WeaselError, ValueError):
     """A coefficient index is out of range for the spectrum at hand."""
 
 
-class InsufficientGroupsError(WeaselError, ValueError):
-    """A grouped statistic was asked for with fewer than two groups."""
-
-
 class InsufficientClassesError(WeaselError, ValueError):
     """An operation that needs two or more classes saw fewer."""
-
-
-class EmptyPartitionError(WeaselError, ValueError):
-    """A label multiset that must be nonempty was empty."""
-
-
-class InvalidSplitError(WeaselError, ValueError):
-    """A split point leaves one side of the partition empty."""
 
 
 class TooShortError(WeaselError, ValueError):

@@ -92,22 +92,6 @@ class BenchmarkReport:
             ])
         return buf.getvalue()
 
-    @classmethod
-    def parse(cls, text: str) -> "BenchmarkReport":
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError("empty report") from None
-        if tuple(header) != REPORT_COLUMNS:
-            raise ConfigError(f"unexpected report header: {header}")
-        rows = [
-            BenchRow(f[0], f[1], float(f[2]), float(f[3]), float(f[4]),
-                     int(f[5]), int(f[6]), int(f[7]))
-            for f in reader if f
-        ]
-        return cls(rows)
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.emit())

@@ -55,20 +55,23 @@ def _as_csr(vectors) -> sparse.csr_matrix:
     return sparse.csr_matrix(np.asarray(vectors, dtype=np.float64))
 
 
-def _solve_binary(xa: sparse.csr_matrix, y: np.ndarray, c: float, tol: float) -> np.ndarray:
-    def loss_grad(w):
-        margins = y * (xa @ w)
-        loss = 0.5 * w @ w + c * np.logaddexp(0.0, -margins).sum()
-        grad = w - c * (xa.T @ (y * expit(-margins)))
-        return loss, grad
+def loss_gradient(w: np.ndarray, xa, y: np.ndarray, c: float):
+    """Regularized logistic loss and its gradient at stacked weights
+    ``w`` (bias weight last); the function the solver minimizes."""
+    margins = y * (xa @ w)
+    loss = 0.5 * w @ w + c * np.logaddexp(0.0, -margins).sum()
+    grad = w - c * (xa.T @ (y * expit(-margins)))
+    return loss, grad
 
+
+def _solve_binary(xa: sparse.csr_matrix, y: np.ndarray, c: float, tol: float) -> np.ndarray:
     def hessp(w, v):
         margins = y * (xa @ w)
         d = expit(margins) * expit(-margins)
         return v + c * (xa.T @ (d * (xa @ v)))
 
     res = optimize.minimize(
-        loss_grad,
+        lambda w: loss_gradient(w, xa, y, c),
         np.zeros(xa.shape[1]),
         jac=True,
         hessp=hessp,
@@ -122,13 +125,3 @@ def decision_scores(model: LinearModel, vectors) -> np.ndarray:
             f"expected {model.n_features} feature columns, got {x.shape[1]}"
         )
     return x @ model.weights.T + model.bias * model.bias_weights
-
-
-def loss_gradient(model_weights, xa, y, c: float) -> np.ndarray:
-    """Gradient of the regularized loss at given stacked weights.
-
-    Exposed so tests can check the solver's stationarity contract
-    against finite differences.
-    """
-    margins = y * (xa @ model_weights)
-    return model_weights - c * (xa.T @ (y * expit(-margins)))

@@ -63,13 +63,6 @@ class FeatureDictionary:
     def __len__(self) -> int:
         return int(self.keys.size)
 
-    def column_of(self, key: int) -> int:
-        """Column index of ``key`` or -1 when filtered out."""
-        pos = np.searchsorted(self._sorted_keys, key)
-        if pos < self._sorted_keys.size and self._sorted_keys[pos] == key:
-            return int(self._sorted_cols[pos])
-        return -1
-
     def lookup(self, keys: np.ndarray):
         """Columns for a key array; returns (mask, columns)."""
         keys = np.asarray(keys, dtype=np.int64)

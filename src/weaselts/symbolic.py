@@ -3,10 +3,12 @@
 A window becomes a short word over a small alphabet in three steps:
 
 1. rank spectrum columns by a one-way ANOVA F statistic on label groups
-   and keep the ``word_length`` best ones (``select_coefficients``);
+   (``_f_statistics``) and keep the ``word_length`` best ones
+   (``select_coefficients``);
 2. learn, per kept column, ``alphabet - 1`` bin boundaries that greedily
-   maximize information gain of the label partition; the bins of all
-   kept columns are learned in one pass (``fit_bins``);
+   maximize information gain of the label partition
+   (``_gain_from_counts``, from ``_entropy_from_counts``); the bins of
+   all kept columns are learned in one pass (``fit_bins``);
 3. map the kept column values of every sliding window to bin symbols
    (``sliding_symbols``).
 
@@ -21,80 +23,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyPartitionError,
-    InsufficientClassesError,
-    InsufficientGroupsError,
-    InvalidSplitError,
-    ConfigError,
-    ShapeError,
-)
+from .errors import ConfigError, InsufficientClassesError, ShapeError
 from . import fourier
 
 
 # ---------------------------------------------------------------------------
 # label statistics
+#
+# These are the statistics the fit runs: ``fit_bins`` scores every cut
+# with ``_gain_from_counts`` (built on ``_entropy_from_counts``), and
+# ``select_coefficients`` ranks columns by ``_f_statistics``.
 
 
-def entropy(labels) -> float:
-    """Shannon entropy, in bits, of a label multiset."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise EmptyPartitionError("entropy of an empty label multiset is undefined")
-    _, counts = np.unique(labels, return_counts=True)
-    p = counts / labels.size
-    return float(np.sum(-p * np.log2(p)))
+def _entropy_from_counts(counts: np.ndarray, totals) -> np.ndarray:
+    """Shannon entropy, in bits, of class counts ``(..., k)`` that sum
+    to ``totals``."""
+    # The class axis is last and contiguous, so each entropy is summed in
+    # the same order whatever the shape of the batch around it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / totals
+        terms = np.where(counts > 0, -p * np.log2(p), 0.0)
+    return terms.sum(axis=-1)
 
 
-def split_gain(values, labels, split_point: float) -> float:
-    """Information gain of thresholding ``values <= split_point``.
+def _gain_from_counts(parent_counts: np.ndarray, left_counts: np.ndarray, n_left):
+    """Information gain of cutting a partition in two.
 
-    Both sides of the split must be nonempty. The result is clamped at
-    zero so rounding can never push it negative; it is bounded above by
-    ``entropy(labels)`` by construction.
+    ``parent_counts`` ``(..., k)`` holds the partition's class counts and
+    ``left_counts`` those of its first ``n_left`` members; the rest form
+    the right side. The gain is clamped at zero so rounding can never
+    push it negative, and it is at most the parent's entropy.
     """
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels)
-    if values.shape != labels.shape:
-        raise ShapeError("values and labels must be parallel 1-D sequences")
-    left = values <= split_point
-    n_left = int(left.sum())
-    if n_left == 0 or n_left == values.size:
-        raise InvalidSplitError(f"split at {split_point} leaves an empty side")
-    h = entropy(labels)
-    w_left = n_left / values.size
-    w_right = (values.size - n_left) / values.size
-    split_h = w_left * entropy(labels[left]) + w_right * entropy(labels[~left])
-    return max(0.0, h - split_h)
-
-
-def anova_f(groups) -> float:
-    """One-way ANOVA F statistic for two or more value groups.
-
-    Returns ``inf`` when the within-group mean square vanishes while the
-    between-group one does not, and ``0`` when the between-group mean
-    square vanishes.
-    """
-    groups = [np.asarray(g, dtype=np.float64) for g in groups]
-    if len(groups) < 2:
-        raise InsufficientGroupsError("anova_f needs at least two groups")
-    if any(g.size == 0 for g in groups):
-        raise EmptyPartitionError("anova_f groups must be nonempty")
-    n_total = sum(g.size for g in groups)
-    grand = sum(g.sum() for g in groups) / n_total
-    ss_between = sum(g.size * (g.mean() - grand) ** 2 for g in groups)
-    ss_within = sum(((g - g.mean()) ** 2).sum() for g in groups)
-    ms_between = ss_between / (len(groups) - 1)
-    if ms_between == 0.0:
-        return 0.0
-    df_within = n_total - len(groups)
-    if df_within == 0 or ss_within == 0.0:
-        return float("inf")
-    return float(ms_between / (ss_within / df_within))
+    size = parent_counts.sum(axis=-1)
+    n_right = size - n_left
+    h_parent = _entropy_from_counts(parent_counts, size[..., None])
+    h_left = _entropy_from_counts(left_counts, n_left[..., None])
+    h_right = _entropy_from_counts(parent_counts - left_counts, n_right[..., None])
+    return np.maximum(
+        0.0, h_parent - ((n_left / size) * h_left + (n_right / size) * h_right)
+    )
 
 
 def _f_statistics(matrix: np.ndarray, class_ids: np.ndarray, n_classes: int) -> np.ndarray:
-    """Column-wise ANOVA F over rows grouped by ``class_ids``."""
+    """Column-wise ANOVA F over rows grouped by ``class_ids``.
+
+    Both sums of squares are taken about the means (two passes): the
+    one-pass form ``sum(x**2) - n * mean**2`` cancels catastrophically
+    when a column sits far from zero.
+    """
     n_total = matrix.shape[0]
     counts = np.bincount(class_ids, minlength=n_classes).astype(np.float64)
     sums = np.zeros((n_classes, matrix.shape[1]))
@@ -102,8 +78,7 @@ def _f_statistics(matrix: np.ndarray, class_ids: np.ndarray, n_classes: int) -> 
     means = sums / counts[:, None]
     grand = matrix.mean(axis=0)
     ss_between = (counts[:, None] * (means - grand) ** 2).sum(axis=0)
-    total_sq = (matrix * matrix).sum(axis=0)
-    ss_within = np.maximum(total_sq - (counts[:, None] * means * means).sum(axis=0), 0.0)
+    ss_within = ((matrix - means[class_ids]) ** 2).sum(axis=0)
     ms_between = ss_between / (n_classes - 1)
     df_within = n_total - n_classes
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,15 +126,6 @@ def leading_columns(word_length: int, m: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # binning
-
-
-def _entropy_from_counts(counts: np.ndarray, totals) -> np.ndarray:
-    # The class axis is last and contiguous, so each entropy is summed in
-    # the same order whatever the shape of the batch around it.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = counts / totals
-        terms = np.where(counts > 0, -p * np.log2(p), 0.0)
-    return terms.sum(axis=-1)
 
 
 def fit_bins(values, labels, alphabet_size: int) -> np.ndarray:
@@ -231,17 +197,8 @@ def fit_bins(values, labels, alphabet_size: int) -> np.ndarray:
             break
         ps, pe = s[cols, part], e[cols, part]
         psize = pe - ps
-        h_parent = _entropy_from_counts(counts[cols, part], psize[:, None])
-
         n_left = (cut - ps).astype(np.float64)
-        n_right = psize - n_left
-        left = prefix[1:m] - prefix[ps, cols]
-        right = prefix[pe, cols] - prefix[1:m]
-        h_left = _entropy_from_counts(left, n_left[..., None])
-        h_right = _entropy_from_counts(right, n_right[..., None])
-        gain = np.maximum(
-            0.0, h_parent - ((n_left / psize) * h_left + (n_right / psize) * h_right)
-        )
+        gain = _gain_from_counts(counts[cols, part], prefix[1:m] - prefix[ps, cols], n_left)
         valid = distinct & (cut > ps) & (cut < pe) & active
         gain = np.where(valid, gain, -np.inf)
         dist = np.abs(n_left - psize / 2)

@@ -51,11 +51,6 @@ class LabeledDataset:
         self.series = [s if isinstance(s, TimeSeries) else TimeSeries(s) for s in series]
         self.labels = labels
 
-    @classmethod
-    def from_samples(cls, samples) -> "LabeledDataset":
-        series, labels = zip(*samples)
-        return cls(series, labels)
-
     @property
     def samples(self):
         return list(zip(self.series, self.labels))
@@ -75,38 +70,18 @@ class LabeledDataset:
             raise ValueError("dataset has ragged series lengths")
         return np.stack([s.values for s in self.series])
 
-    def subset(self, indices) -> "LabeledDataset":
-        return LabeledDataset(
-            [self.series[i] for i in indices], [self.labels[i] for i in indices]
-        )
-
     def __len__(self) -> int:
         return len(self.series)
 
-    def __iter__(self):
-        return iter(self.samples)
-
-
-def znormalize(values) -> np.ndarray:
-    """Shift to mean zero and scale to unit standard deviation.
-
-    The standard deviation is the population form (divide by the window
-    length). A flat window, deviation at or below ``DEFAULT_EPSILON``,
-    maps to the all-zero vector instead of blowing up.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ShapeError("znormalize expects a nonempty 1-D sequence")
-    if not np.all(np.isfinite(x)):
-        raise NumericInputError("znormalize input must be finite")
-    sd = x.std()
-    if sd <= DEFAULT_EPSILON:
-        return np.zeros_like(x)
-    return (x - x.mean()) / sd
-
 
 def znormalize_rows(mat: np.ndarray) -> np.ndarray:
-    """Row-wise ``znormalize`` for a stack of equal-length windows."""
+    """Shift every row of a stack of equal-length windows to mean zero
+    and scale it to unit standard deviation.
+
+    The standard deviation is the population form (divide by the window
+    length). A flat row, deviation at or below ``DEFAULT_EPSILON``, maps
+    to all zeros instead of blowing up.
+    """
     mu = mat.mean(axis=1, keepdims=True)
     sd = mat.std(axis=1, keepdims=True)
     flat = sd <= DEFAULT_EPSILON

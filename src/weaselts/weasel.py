@@ -255,13 +255,6 @@ class WeaselModel:
         labels, _ = _predict_batch(bags, self.features, self.linear)
         return labels
 
-    def save(self, path) -> None:
-        save_model(self, path)
-
-    @classmethod
-    def load(cls, path) -> "WeaselModel":
-        return load_model(path)
-
 
 def fit_weasel(train: LabeledDataset, config: WeaselConfig | None = None) -> WeaselModel:
     """Fit the full pipeline, selecting the word length by cross-validation."""
@@ -383,8 +376,9 @@ def save_model(model: WeaselModel, path) -> None:
 
 def deserialize_model(text: str) -> WeaselModel:
     """Rebuild a model from ``serialize_model`` text; a document that is
-    not JSON, not a model document of this version, lacks a field, or
-    holds arrays that do not fit together raises ``ConfigError``."""
+    not JSON, not a model document of this version, lacks a field, holds
+    arrays that do not fit together, or holds a weight or score that is
+    not finite raises ``ConfigError``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -428,6 +422,8 @@ def _model_from_document(doc: dict) -> WeaselModel:
     chi2 = np.asarray(doc["features"]["chi2"], dtype=np.float64)
     if keys.ndim != 1 or chi2.shape != keys.shape:
         raise ConfigError(f"{keys.shape} feature keys but {chi2.shape} scores")
+    if not np.isfinite(chi2).all():
+        raise ConfigError("feature scores are not all finite")
     features = FeatureDictionary(keys, chi2, int(doc["features_pre"]))
     if np.any(features._sorted_keys[1:] == features._sorted_keys[:-1]):
         raise ConfigError("a feature key repeats")
@@ -438,6 +434,8 @@ def _model_from_document(doc: dict) -> WeaselModel:
     if weights.shape != (k, d) or bias_weights.shape != (k,):
         raise ConfigError(f"weights shaped {weights.shape} and {bias_weights.shape} "
                           f"do not fit {k} classes and {d} features")
+    if not (np.isfinite(weights).all() and np.isfinite(bias_weights).all()):
+        raise ConfigError("weights or bias weights are not all finite")
     lin = LinearModel(classes, weights, bias_weights, float(doc["linear"]["bias"]))
     return WeaselModel(cfg, word_length, models, features, lin, int(doc["features_pre"]))
 

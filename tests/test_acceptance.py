@@ -3,9 +3,11 @@
 Each test covers one numbered claim about the library and prints a
 single PASS or FAIL line with the measured quantities, so a test run
 doubles as a readable scorecard. All expected values come from
-independent oracles computed inside this module (brute-force search,
-plain summation, contingency tables, stdlib math) or from documented
-exact identities; nothing is copied from the implementation under test.
+independent oracles computed inside this module or in ``oracles.py``
+(brute-force search, plain summation, contingency tables, stdlib math)
+or from documented exact identities; nothing is copied from the
+implementation under test. Each check runs the code the classifier
+runs, private helpers included.
 """
 
 import math
@@ -15,24 +17,24 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import split_gain
 from weaselts import (
     LabeledDataset,
     TimeSeries,
     WeaselConfig,
-    anova_f,
     chi_squared_filter,
     chi_squared_stats,
-    entropy,
     fit_bins,
     fit_weasel,
     load_model,
     save_model,
+    select_coefficients,
     serialize_model,
     sliding_ri_columns,
-    split_gain,
     window_ri_matrix,
 )
 from weaselts import synthetic
+from weaselts.symbolic import _entropy_from_counts, _gain_from_counts
 from weaselts.harness import ABLATION_MATRIX, ablation_suite, apply_flags, nn_accuracy
 
 
@@ -143,16 +145,16 @@ def test_criterion_02_transform_matches_direct_summation(capsys):
 
 
 def test_criterion_03_entropy_and_gain_identities(capsys):
-    exact = entropy(["A", "A", "B", "B"]) == 1.0
-    perfect = split_gain(
-        np.array([1.0, 2.0, 3.0, 4.0]), np.array(["A", "A", "B", "B"]), 2.5
-    ) == entropy(["A", "A", "B", "B"])
-    useless = split_gain(
-        np.array([1.0, 2.0, 3.0, 4.0]), np.array(["A", "B", "A", "B"]), 2.5
-    ) == 0.0
+    # the class-count statistics fit_bins scores its cuts with
+    aabb = np.array([2.0, 2.0])  # class counts of A A B B
+    h_aabb = _entropy_from_counts(aabb, 4.0)
+    exact = h_aabb == 1.0
+    n_left = np.float64(2.0)  # cut 1 2 | 3 4
+    perfect = _gain_from_counts(aabb, np.array([2.0, 0.0]), n_left) == h_aabb  # A A | B B
+    useless = _gain_from_counts(aabb, np.array([1.0, 1.0]), n_left) == 0.0  # A B | A B
 
     rng = np.random.default_rng(103)
-    violations = 0
+    violations = mismatches = 0
     trials = 0
     while trials < 1000:
         n = int(rng.integers(2, 50))
@@ -161,15 +163,20 @@ def test_criterion_03_entropy_and_gain_identities(capsys):
         sp = float(rng.choice(values))
         if (values <= sp).all():
             continue
-        gain = split_gain(values, labels, sp)
-        if not 0.0 <= gain <= entropy(labels) + 1e-12:
+        _, ids = np.unique(labels, return_inverse=True)
+        parent = np.bincount(ids).astype(np.float64)
+        left = np.bincount(ids[values <= sp], minlength=parent.size).astype(np.float64)
+        gain = float(_gain_from_counts(parent, left, left.sum()))
+        if not 0.0 <= gain <= _entropy_from_counts(parent, n) + 1e-12:
             violations += 1
+        mismatches += gain != split_gain(values, labels, sp)
         trials += 1
     verdict(
         capsys, 3, "entropy and gain identities hold",
-        exact and perfect and useless and violations == 0,
+        exact and perfect and useless and violations == 0 and mismatches == 0,
         f"exact={exact} perfect={perfect} useless={useless} "
-        f"bound violations {violations}/1000",
+        f"bound violations {violations}/1000, "
+        f"differ from the label-list oracle {mismatches}/1000",
     )
 
 
@@ -177,19 +184,27 @@ def test_criterion_03_entropy_and_gain_identities(capsys):
 # 4. the F statistic
 
 
+def selected_f(groups):
+    """The F value ``select_coefficients`` ranks one column by, the column
+    split into ``groups``."""
+    column = np.concatenate(groups)[:, None]
+    labels = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return float(select_coefficients(column, labels, 1)[1][0])
+
+
 def test_criterion_04_f_statistic(capsys):
-    worked = abs(anova_f([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]]) - 1.5) <= 1e-9
-    flat = anova_f([[1.0, 2.0], [1.0, 2.0]]) == 0.0
+    worked = abs(selected_f([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]]) - 1.5) <= 1e-9
+    flat = selected_f([[1.0, 2.0], [1.0, 2.0]]) == 0.0
 
     rng = np.random.default_rng(104)
     worst_rel = 0.0
     for _ in range(500):
         k = int(rng.integers(2, 5))
         groups = [rng.standard_normal(int(rng.integers(2, 12))) for _ in range(k)]
-        base = anova_f(groups)
+        base = selected_f(groups)
         a = float(rng.uniform(0.1, 10.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         b = float(rng.uniform(-20.0, 20.0))
-        moved = anova_f([a * g + b for g in groups])
+        moved = selected_f([a * g + b for g in groups])
         worst_rel = max(worst_rel, abs(moved - base) / max(abs(base), 1e-30))
     verdict(
         capsys, 4, "F statistic worked example and invariance",
@@ -236,7 +251,7 @@ def test_criterion_05_chi_squared_filtering(capsys):
     bag_b = BagOfPatterns(np.array([1, 3]), np.array([5, 5]))
     bags, labels = [bag_a, bag_a, bag_b, bag_b], ["a", "a", "b", "b"]
     features = chi_squared_filter(bags, labels, threshold=2.0)
-    uniform_removed = features.column_of(1) == -1 and len(features) == 2
+    uniform_removed = 1 not in features.keys and len(features) == 2
 
     rng2 = np.random.default_rng(106)
     rand_bags = [BagOfPatterns.from_key_stream(rng2.integers(0, 40, 60)) for _ in range(18)]

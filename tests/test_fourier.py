@@ -8,7 +8,6 @@ from weaselts import (
     WindowLengthError,
     sliding_ri_columns,
     window_ri_matrix,
-    znormalize,
 )
 
 
@@ -37,7 +36,8 @@ def test_window_ri_matrix_matches_per_window_transform():
     assert mat.shape == (7, 2 * 6)
     np.testing.assert_array_equal(mat[2], np.zeros(12))
     for i in (0, 1, 3, 4, 5, 6):
-        reals, imags = direct_half_spectrum(znormalize(windows[i]))
+        x = windows[i]
+        reals, imags = direct_half_spectrum((x - x.mean()) / x.std())
         ref = np.empty(12)
         ref[0::2], ref[1::2] = reals, imags
         ref[:2] = 0.0  # DC of a centered window

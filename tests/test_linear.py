@@ -81,7 +81,8 @@ def test_gradient_matches_finite_differences():
     y = np.where(rng.random(8) < 0.5, 1.0, -1.0)
     w = 0.5 * rng.standard_normal(4)
     c = 0.7
-    grad = loss_gradient(w, sparse.csr_matrix(xa), y, c)
+    loss, grad = loss_gradient(w, sparse.csr_matrix(xa), y, c)
+    assert math.isclose(loss, loss_by_loop(w, xa, y, c), rel_tol=1e-12)
     h = 1e-6
     for j in range(4):
         step = np.zeros(4)
@@ -102,7 +103,7 @@ def test_solution_satisfies_gradient_tolerance():
     for i, cls in enumerate(model.classes):
         y = np.where(np.asarray(labels) == cls, 1.0, -1.0)
         w = np.concatenate([model.weights[i], [model.bias_weights[i]]])
-        assert np.linalg.norm(loss_gradient(w, xa, y, 1.0)) <= tol
+        assert np.linalg.norm(loss_gradient(w, xa, y, 1.0)[1]) <= tol
 
 
 @pytest.mark.filterwarnings("ignore:logistic solve stopped:RuntimeWarning")
@@ -125,7 +126,7 @@ def test_binary_classes_learn_mirrored_weights():
     model = train_linear(x, labels, tolerance=0.1)
     for row, sign in ((0, 1.0), (1, -1.0)):
         w = np.concatenate([model.weights[row], [model.bias_weights[row]]])
-        assert np.linalg.norm(loss_gradient(w, xa, sign * y, 1.0)) <= 0.1
+        assert np.linalg.norm(loss_gradient(w, xa, sign * y, 1.0)[1]) <= 0.1
 
 
 def test_solve_short_of_tolerance_warns():

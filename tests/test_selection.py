@@ -65,9 +65,7 @@ def _biased_bags():
 def test_filter_drops_uniform_feature():
     bags, labels = _biased_bags()
     features = chi_squared_filter(bags, labels, threshold=2.0)
-    assert features.column_of(1) == -1
-    assert features.column_of(2) >= 0
-    assert features.column_of(3) >= 0
+    assert sorted(features.keys.tolist()) == [2, 3]
     assert features.n_candidates == 3
     assert len(features) == 2
     assert np.all(features.chi2 >= 2.0)
@@ -117,20 +115,15 @@ def test_filter_validation():
 
 def test_feature_dictionary_lookup():
     features = FeatureDictionary(np.array([30, 10, 20]), np.array([5.0, 4.0, 3.0]), 7)
-    assert features.column_of(30) == 0
-    assert features.column_of(10) == 1
-    assert features.column_of(20) == 2
-    assert features.column_of(99) == -1
-    mask, cols = features.lookup(np.array([10, 99, 30]))
-    np.testing.assert_array_equal(mask, [True, False, True])
-    np.testing.assert_array_equal(cols[mask], [1, 0])
+    mask, cols = features.lookup(np.array([10, 99, 30, 20]))
+    np.testing.assert_array_equal(mask, [True, False, True, True])
+    np.testing.assert_array_equal(cols[mask], [1, 0, 2])
 
 
 def test_feature_dictionary_empty():
     features = FeatureDictionary(np.empty(0, dtype=np.int64), np.empty(0), 4)
     assert len(features) == 0
-    assert features.column_of(5) == -1
-    mask, _ = features.lookup(np.array([1, 2]))
+    mask, _ = features.lookup(np.array([1, 2, 5]))
     assert not mask.any()
     row = vectorize(BagOfPatterns(np.array([1]), np.array([3])), features)
     assert row.shape == (1, 0)
@@ -139,12 +132,12 @@ def test_feature_dictionary_empty():
 def test_vectorize_matches_column_lookup():
     bags, labels = _biased_bags()
     features = chi_squared_filter(bags, labels)
+    column_of = {int(k): c for c, k in enumerate(features.keys)}
     for bag in bags:
         expect = np.zeros(len(features))
-        for key, count in bag.as_dict().items():
-            col = features.column_of(key)
-            if col >= 0:
-                expect[col] = count
+        for key, count in zip(bag.keys.tolist(), bag.counts.tolist()):
+            if key in column_of:
+                expect[column_of[key]] = count
         np.testing.assert_array_equal(vectorize(bag, features).toarray()[0], expect)
 
 
@@ -153,10 +146,11 @@ def test_vectorize_all_equals_per_bag_rows_exactly():
     bags = [BagOfPatterns.from_key_stream(rng.integers(0, 60, rng.integers(0, 40)))
             for _ in range(12)]
     features = chi_squared_filter(bags, ["a", "b", "c"] * 4, threshold=0.5)
+    column_of = {int(k): c for c, k in enumerate(features.keys)}
     data, indices, indptr = [], [], [0]
-    for bag in bags:  # the CSR arrays built row by row from column_of
-        cols = [features.column_of(int(k)) for k in bag.keys]
-        row = sorted((c, int(n)) for c, n in zip(cols, bag.counts) if c >= 0)
+    for bag in bags:  # the CSR arrays built row by row from a plain dict
+        row = sorted((column_of[int(k)], int(n)) for k, n in zip(bag.keys, bag.counts)
+                     if int(k) in column_of)
         indices += [c for c, _ in row]
         data += [float(n) for _, n in row]
         indptr.append(len(indices))

@@ -1,68 +1,77 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from oracles import split_gain
 from weaselts import (
     ConfigError,
-    EmptyPartitionError,
     InsufficientClassesError,
-    InsufficientGroupsError,
-    InvalidSplitError,
     ShapeError,
-    anova_f,
-    entropy,
     equi_depth_bins,
     fit_bins,
     fit_symbolic_model,
     select_coefficients,
     sliding_symbols,
-    split_gain,
     window_ri_matrix,
 )
-from weaselts.symbolic import _entropy_from_counts, digitize_columns, leading_columns
+from weaselts.symbolic import (
+    _entropy_from_counts,
+    _f_statistics,
+    _gain_from_counts,
+    digitize_columns,
+    leading_columns,
+)
 
 
 # ---------------------------------------------------------------------------
-# entropy and information gain
+# entropy and information gain, as fit_bins computes them from class counts
+
+
+def class_counts(labels, classes):
+    return np.array([np.count_nonzero(np.asarray(labels) == c) for c in classes], float)
+
+
+def fit_entropy(labels):
+    """``_entropy_from_counts`` of a label list."""
+    return float(_entropy_from_counts(class_counts(labels, np.unique(labels)), len(labels)))
+
+
+def fit_gain(values, labels, split_point):
+    """``_gain_from_counts`` of the cut ``values <= split_point``."""
+    classes = np.unique(labels)
+    left = np.asarray(values) <= split_point
+    return float(_gain_from_counts(
+        class_counts(labels, classes),
+        class_counts(np.asarray(labels)[left], classes),
+        np.float64(left.sum()),
+    ))
 
 
 def test_entropy_exact_values():
-    assert entropy(["a", "a", "b", "b"]) == 1.0
-    assert entropy(["a", "b", "c", "d"]) == 2.0
-    assert entropy(["a", "a", "a"]) == 0.0
-    assert abs(entropy(["a", "a", "b"]) - 0.9182958340544896) < 1e-15
-
-
-def test_entropy_rejects_empty():
-    with pytest.raises(EmptyPartitionError):
-        entropy([])
+    assert fit_entropy(["a", "a", "b", "b"]) == 1.0
+    assert fit_entropy(["a", "b", "c", "d"]) == 2.0
+    assert fit_entropy(["a", "a", "a"]) == 0.0
+    assert abs(fit_entropy(["a", "a", "b"]) - 0.9182958340544896) < 1e-15
 
 
 def test_split_gain_perfect_split_equals_entropy():
     values = np.array([1.0, 2.0, 3.0, 4.0])
     labels = np.array(["a", "a", "b", "b"])
-    assert split_gain(values, labels, 2.5) == entropy(labels)
+    assert fit_gain(values, labels, 2.5) == fit_entropy(labels)
 
 
 def test_split_gain_useless_split_is_zero():
     values = np.array([1.0, 2.0, 3.0, 4.0])
     labels = np.array(["a", "b", "a", "b"])
-    assert split_gain(values, labels, 2.5) == 0.0
+    assert fit_gain(values, labels, 2.5) == 0.0
 
 
 def test_split_gain_boundary_value_goes_left():
     values = np.array([1.0, 2.0, 3.0])
     labels = np.array(["a", "a", "b"])
     # the value exactly at the threshold belongs to the left side
-    assert split_gain(values, labels, 2.0) == entropy(labels)
-
-
-def test_split_gain_empty_side_rejected():
-    values = np.array([1.0, 2.0])
-    labels = np.array(["a", "b"])
-    with pytest.raises(InvalidSplitError):
-        split_gain(values, labels, 0.5)
-    with pytest.raises(InvalidSplitError):
-        split_gain(values, labels, 2.0)
+    assert fit_gain(values, labels, 2.0) == fit_entropy(labels)
 
 
 def test_split_gain_bounds_property():
@@ -74,8 +83,9 @@ def test_split_gain_bounds_property():
         sp = float(rng.choice(values))
         if (values <= sp).all():
             continue
-        gain = split_gain(values, labels, sp)
-        assert 0.0 <= gain <= entropy(labels) + 1e-12
+        gain = fit_gain(values, labels, sp)
+        assert 0.0 <= gain <= fit_entropy(labels) + 1e-12
+        assert gain == split_gain(values, labels, sp)
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +108,24 @@ def hand_anova(groups):
     return msb / (ssw / dfw)
 
 
+def fit_f(groups):
+    """``_f_statistics`` of one column split into ``groups``."""
+    column = np.concatenate(groups)[:, None]
+    ids = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return float(_f_statistics(column, ids, len(groups))[0])
+
+
 def test_anova_worked_example():
     # groups {1,2,3} and {2,3,4}: SSB=1.5, MSW=1.0, F=1.5
-    assert abs(anova_f([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]]) - 1.5) < 1e-9
+    assert abs(fit_f([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]]) - 1.5) < 1e-9
 
 
 def test_anova_identical_groups():
-    assert anova_f([[1.0, 2.0], [1.0, 2.0]]) == 0.0
+    assert fit_f([[1.0, 2.0], [1.0, 2.0]]) == 0.0
 
 
 def test_anova_zero_within_variance():
-    assert anova_f([[1.0, 1.0], [2.0, 2.0]]) == float("inf")
+    assert fit_f([[1.0, 1.0], [2.0, 2.0]]) == float("inf")
 
 
 def test_anova_matches_hand_computation():
@@ -117,24 +134,42 @@ def test_anova_matches_hand_computation():
         k = int(rng.integers(2, 5))
         groups = [rng.standard_normal(int(rng.integers(2, 12))) for _ in range(k)]
         expect = hand_anova(groups)
-        np.testing.assert_allclose(anova_f(groups), expect, rtol=1e-9)
+        np.testing.assert_allclose(fit_f(groups), expect, rtol=1e-9)
 
 
 def test_anova_affine_invariance():
     rng = np.random.default_rng(22)
     for _ in range(50):
         groups = [rng.standard_normal(int(rng.integers(2, 10))) for _ in range(3)]
-        base = anova_f(groups)
+        base = fit_f(groups)
         a, b = float(rng.uniform(0.2, 4.0)), float(rng.uniform(-5.0, 5.0))
-        moved = anova_f([a * g + b for g in groups])
+        moved = fit_f([a * g + b for g in groups])
         np.testing.assert_allclose(moved, base, rtol=1e-8)
 
 
-def test_anova_group_validation():
-    with pytest.raises(InsufficientGroupsError):
-        anova_f([[1.0, 2.0]])
-    with pytest.raises(EmptyPartitionError):
-        anova_f([[1.0], []])
+def exact_anova(groups):
+    """F in exact rational arithmetic on the given float values."""
+    groups = [[Fraction(float(x)) for x in g] for g in groups]
+    values = [x for g in groups for x in g]
+    grand = sum(values) / len(values)
+    means = [sum(g) / len(g) for g in groups]
+    ssb = sum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
+    ssw = sum((x - m) ** 2 for g, m in zip(groups, means) for x in g)
+    return (ssb / (len(groups) - 1)) / (ssw / (len(values) - len(groups)))
+
+
+def test_anova_keeps_precision_at_large_offsets():
+    rng = np.random.default_rng(23)
+    base = [rng.standard_normal(10) + shift for shift in (0.0, 1.0, 2.0)]
+    n, spread = 30, float(np.concatenate(base).std())
+    for offset in (1e3, 1e5, 1e7):
+        groups = [g + offset for g in base]
+        expect = exact_anova(groups)
+        rel = abs(Fraction(fit_f(groups)) - expect) / expect
+        # Values near ``offset`` round by about eps * offset, and so do the
+        # means of their groups; summed over n values, that moves a sum of
+        # squares of this spread by less than n * eps * offset / spread.
+        assert rel <= n * np.finfo(float).eps * offset / spread
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +490,7 @@ def test_fit_symbolic_model_unsupervised_uses_leading_columns():
 
 def f_by_column(matrix, labels):
     groups = [matrix[labels == c] for c in np.unique(labels)]
-    return np.array([anova_f([g[:, j] for g in groups]) for j in range(matrix.shape[1])])
+    return np.array([hand_anova([g[:, j] for g in groups]) for j in range(matrix.shape[1])])
 
 
 def test_fit_picks_dc_column_only_when_nonzero_columns_run_out():

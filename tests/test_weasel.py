@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from weaselts import (
     ConfigError,
@@ -11,7 +12,6 @@ from weaselts import (
     TimeSeries,
     TooShortError,
     WeaselConfig,
-    WeaselModel,
     deserialize_model,
     fit_weasel,
     load_model,
@@ -21,6 +21,8 @@ from weaselts import (
 )
 from weaselts import cli, synthetic
 from weaselts.bop import build_bag
+from weaselts.linear import C, DEFAULT_TOLERANCE, loss_gradient
+from weaselts.selection import vectorize_all
 from weaselts.weasel import _dataset_bags, _fit_window_models, _predict_batch
 
 # three classes told apart by which harmonics carry energy; every class
@@ -174,7 +176,7 @@ def test_ragged_training_lengths():
         else:
             labels.append("flat")
         rows.append(TimeSeries(x))
-    train = LabeledDataset.from_samples(zip(rows, labels))
+    train = LabeledDataset(rows, labels)
     model = fit_weasel(train, WeaselConfig(word_lengths=(4,), folds=3))
     assert set(model.lengths) == set(range(8, 27))
     pred = model.predict_many(rows)
@@ -221,6 +223,74 @@ def test_unsupervised_pipeline_runs(masked_fit):
     cfg = WeaselConfig(word_lengths=(6,), supervised=False, **CFG16)
     model = fit_weasel(train, cfg)
     assert accuracy(model, test) >= 0.5
+
+
+# ---------------------------------------------------------------------------
+# invariances of the fit; one candidate word length, so no fold
+# assignment depends on the order or names of the training labels
+
+INVARIANCE_CFG = WeaselConfig(word_lengths=(6,))
+
+
+@pytest.fixture(scope="module")
+def invariance_fits():
+    """(train, test, model) on binary and 5-class data."""
+    datasets = [synthetic.shift_invariance(40, 20, seed=s) for s in (1, 2, 3)]
+    datasets += [synthetic.cluster_blobs(n_classes=5, seed=s) for s in (1, 2)]
+    return [(train, test, fit_weasel(train, INVARIANCE_CFG)) for train, test in datasets]
+
+
+def test_class_names_do_not_change_predictions(invariance_fits):
+    for train, test, model in invariance_fits:
+        classes = train.classes()
+        # the last class sorts first now, so the solves run in reverse
+        rename = {c: f"{len(classes) - i:02d}" for i, c in enumerate(classes)}
+        back = {v: k for k, v in rename.items()}
+        renamed = fit_weasel(
+            LabeledDataset(train.series, [rename[lab] for lab in train.labels]),
+            INVARIANCE_CFG,
+        )
+        assert renamed.classes == sorted(back)
+        assert [back[p] for p in renamed.predict_many(test)] == model.predict_many(test)
+
+
+def test_training_order_does_not_change_the_fit(invariance_fits):
+    rng = np.random.default_rng(90)
+    for train, test, model in invariance_fits:
+        perm = rng.permutation(len(train))
+        series = [train.series[i] for i in perm]
+        permuted = fit_weasel(
+            LabeledDataset(series, [train.labels[i] for i in perm]), INVARIANCE_CFG
+        )
+        assert permuted.features.keys.tolist() == model.features.keys.tolist()
+        assert permuted.lengths == model.lengths
+        for w in model.lengths:
+            assert (permuted.window_models[w].columns.tolist()
+                    == model.window_models[w].columns.tolist())
+        assert permuted.predict_many(test) == model.predict_many(test)
+        # the permuted weights solve the problem in the original order
+        bags = _dataset_bags(train.series, permuted.window_models, INVARIANCE_CFG.bigrams)
+        x = vectorize_all(bags, permuted.features)
+        xa = sparse.hstack([x, sparse.csr_matrix(np.ones((x.shape[0], 1)))], format="csr")
+        for cls, w, b in zip(permuted.classes, permuted.linear.weights,
+                             permuted.linear.bias_weights):
+            y = np.where(np.asarray(train.labels) == cls, 1.0, -1.0)
+            grad = loss_gradient(np.append(w, b), xa, y, C)[1]
+            assert np.linalg.norm(grad) <= DEFAULT_TOLERANCE
+
+
+def test_affine_training_data_give_the_same_fit(invariance_fits):
+    for train, test, model in invariance_fits:
+        moved = fit_weasel(
+            LabeledDataset([3.7 * ts.values + 1e3 for ts in train.series], train.labels),
+            INVARIANCE_CFG,
+        )
+        assert moved.lengths == model.lengths
+        for w in model.lengths:
+            assert (moved.window_models[w].columns.tolist()
+                    == model.window_models[w].columns.tolist())
+        assert len(moved.features) == len(model.features)
+        assert moved.predict_many(test) == model.predict_many(test)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +375,6 @@ def test_round_trip_preserves_predictions(masked_fit, tmp_path):
     assert serialize_model(loaded) == serialize_model(model)
     assert loaded.word_length == model.word_length
     assert loaded.classes == model.classes
-    again = WeaselModel.load(path)
-    assert serialize_model(again) == serialize_model(model)
 
 
 def test_deserialize_rejects_foreign_documents():
