@@ -15,6 +15,12 @@ share one bag.
 ``series_keys`` is the one place where sliding windows become keys: it
 serves ``build_bag`` for one series and the batched bag builder of the
 classifier for a stack of equal-length series alike.
+
+The bags of a dataset travel in one CSR (compressed sparse row) layout:
+arrays ``keys`` (int64) and ``counts``, where series ``i`` owns entries
+``indptr[i]:indptr[i + 1]``. ``truncate_keys`` gives the keys of a
+shorter word length with one bitmask over such a key array; the counts
+stay, and a key may then repeat within a series.
 """
 
 from __future__ import annotations
@@ -87,6 +93,19 @@ def unpack_key(key: int):
     return w, kind, (key >> _PREV_SHIFT) & 0xFFFF, word
 
 
+def truncate_keys(keys: np.ndarray, word_length: int) -> np.ndarray:
+    """The keys these occurrences make when every word keeps only its
+    first ``word_length`` symbols.
+
+    Symbol ``j`` sits at bits ``2j`` of each word, so this keeps the low
+    ``2 * word_length`` bits of a unigram word and of both halves of a
+    bigram, and keeps the kind and window length. Keys that become equal
+    are not merged; whoever counts them adds them up.
+    """
+    low = (1 << (2 * word_length)) - 1
+    return keys & np.int64(-(1 << _KIND_SHIFT) | (low << _PREV_SHIFT) | low)
+
+
 @dataclass(frozen=True, eq=False)
 class BagOfPatterns:
     """Sparse key -> count map stored as parallel sorted arrays."""
@@ -99,30 +118,8 @@ class BagOfPatterns:
         uniq, counts = np.unique(np.asarray(keys, dtype=np.int64), return_counts=True)
         return cls(uniq, counts.astype(np.int64))
 
-    def truncated(self, word_length: int) -> "BagOfPatterns":
-        """The bag these occurrences make when every word keeps only its
-        first ``word_length`` symbols.
-
-        Symbol ``j`` sits at bits ``2j`` of each word, so this keeps the
-        low ``2 * word_length`` bits of a unigram word and of both halves
-        of a bigram, keeps the kind and window length, and merges the
-        keys that become equal by summing their counts.
-        """
-        low = (1 << (2 * word_length)) - 1
-        keep = np.int64(-(1 << _KIND_SHIFT) | (low << _PREV_SHIFT) | low)
-        keys, inverse = np.unique(self.keys & keep, return_inverse=True)
-        counts = np.bincount(inverse, weights=self.counts, minlength=keys.size)
-        return BagOfPatterns(keys, counts.astype(np.int64))
-
     def __len__(self) -> int:
         return int(self.keys.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BagOfPatterns):
-            return NotImplemented
-        return np.array_equal(self.keys, other.keys) and np.array_equal(
-            self.counts, other.counts
-        )
 
 
 def series_keys(

@@ -93,12 +93,10 @@ def _config_from(args):
         kwargs["folds"] = args.folds
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    cfg = WeaselConfig(**kwargs)
-    from .harness import apply_flags
-
-    return apply_flags(cfg, no_bigrams=args.no_bigrams,
-                       unsupervised=args.unsupervised,
-                       single_window=args.single_window)
+    if args.single_window is not None:
+        kwargs["w_min"] = kwargs["w_max"] = args.single_window
+    return WeaselConfig(bigrams=not args.no_bigrams,
+                        supervised=not args.unsupervised, **kwargs)
 
 
 def main(argv=None) -> int:

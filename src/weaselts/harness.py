@@ -8,7 +8,7 @@ failure is logged and the remaining datasets still run.
 import csv
 import io
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,6 @@ __all__ = [
     "nn_accuracy",
     "BenchRow",
     "BenchmarkReport",
-    "apply_flags",
-    "ABLATION_MATRIX",
-    "ablation_suite",
     "run_benchmark",
 ]
 
@@ -97,48 +94,6 @@ class BenchmarkReport:
             fh.write(self.emit())
 
 
-def apply_flags(config: WeaselConfig, no_bigrams=False, unsupervised=False,
-                single_window=None) -> WeaselConfig:
-    """Config for one ablation cell of the variant matrix."""
-    changes = {}
-    if no_bigrams:
-        changes["bigrams"] = False
-    if unsupervised:
-        changes["supervised"] = False
-    if single_window is not None:
-        changes["w_min"] = int(single_window)
-        changes["w_max"] = int(single_window)
-    return replace(config, **changes) if changes else config
-
-
-ABLATION_MATRIX = (
-    ("supervised+bigrams", {}),
-    ("supervised+unigrams", {"no_bigrams": True}),
-    ("unsupervised+bigrams", {"unsupervised": True}),
-    ("unsupervised+unigrams", {"no_bigrams": True, "unsupervised": True}),
-)
-
-
-def ablation_suite():
-    """The five synthetic datasets exercised by the ablation tests.
-
-    Yields (name, (train, test), config). Pipeline settings vary per
-    dataset: the tone pair needs windows of at least 16 samples and
-    the block-order data is only order-blind for unigrams at window
-    length 8.
-    """
-    from . import synthetic
-
-    base = WeaselConfig(word_lengths=(6,))
-    return [
-        ("shift_invariance", synthetic.shift_invariance(100, 100), base),
-        ("fine_frequency", synthetic.fine_frequency(), replace(base, w_min=16)),
-        ("bigram_order", synthetic.bigram_order(), replace(base, w_max=8)),
-        ("multi_scale", synthetic.multi_scale(), base),
-        ("pure_noise", synthetic.pure_noise(), base),
-    ]
-
-
 def _find_split(directory, tag):
     hits = sorted(p for p in directory.iterdir()
                   if p.is_file() and tag in p.name)
@@ -163,8 +118,7 @@ def _timed_fit_eval(train, test, config):
     return model, row_acc, train_ms, spent * 1000.0 / n
 
 
-def run_benchmark(dataset_dirs, config=None, no_bigrams=False,
-                  unsupervised=False, single_window=None, baseline_ed=False,
+def run_benchmark(dataset_dirs, config=None, baseline_ed=False,
                   log=None) -> BenchmarkReport:
     """Fit and score every dataset directory; emit one row per run.
 
@@ -174,8 +128,7 @@ def run_benchmark(dataset_dirs, config=None, no_bigrams=False,
     """
     from pathlib import Path
 
-    cfg = apply_flags(config if config is not None else WeaselConfig(),
-                      no_bigrams, unsupervised, single_window)
+    cfg = config if config is not None else WeaselConfig()
     rows = []
     for d in dataset_dirs:
         directory = Path(d)

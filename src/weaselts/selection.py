@@ -1,5 +1,10 @@
 """Chi-squared feature filtering and sparse vectorization.
 
+Both steps take a dataset's bags in the CSR layout of ``bop``: arrays
+``keys`` and ``counts``, series ``i`` owning entries
+``indptr[i]:indptr[i + 1]``. A key may repeat within a series (after
+``bop.truncate_keys``); both steps add up its counts.
+
 Each candidate word key is scored with a 2 x k contingency table: the
 key's per-class occurrence totals against the per-class totals of all
 other words. Keys scoring at or above the threshold survive and are
@@ -74,31 +79,23 @@ class FeatureDictionary:
         return mask, self._sorted_cols[pos]
 
 
-def chi_squared_filter(bags, labels, threshold: float = DEFAULT_CHI2_THRESHOLD) -> FeatureDictionary:
+def chi_squared_filter(
+    keys, counts, indptr, labels, threshold: float = DEFAULT_CHI2_THRESHOLD
+) -> FeatureDictionary:
     """Score every key across the training bags and keep the strong ones."""
     labels = np.asarray([str(lab) for lab in labels])
     classes, class_ids = np.unique(labels, return_inverse=True)
     if classes.size < 2:
         raise InsufficientClassesError("chi-squared filtering needs >= 2 classes")
-    if len(bags) != labels.size:
+    if len(indptr) != labels.size + 1:
         raise ValueError("bags and labels must be parallel")
-
-    # With the bags taken class by class (in their order within a class),
-    # each class's entries form one slice, and no per-entry class array or
-    # mask adds to the memory peak.
-    order = np.argsort(class_ids, kind="stable")
-    all_keys = np.concatenate([bags[i].keys for i in order])
-    all_counts = np.concatenate([bags[i].counts for i in order])
-    sizes = [len(b) for b in bags]
-    ends = np.cumsum(np.bincount(class_ids, weights=sizes)).astype(np.int64)
-    vocab, inverse = np.unique(all_keys, return_inverse=True)
-    observed = np.zeros((classes.size, vocab.size))
-    start = 0
-    for cid, end in enumerate(ends):
-        observed[cid] = np.bincount(
-            inverse[start:end], weights=all_counts[start:end], minlength=vocab.size
-        )
-        start = end
+    vocab, inverse = np.unique(keys, return_inverse=True)
+    n = labels.size
+    x = sparse.csr_matrix((counts, inverse, indptr), shape=(n, vocab.size))
+    y = sparse.csr_matrix((np.ones(n), class_ids, np.arange(n + 1)), shape=(n, classes.size))
+    # Sums of integer counts are exact, so the table does not depend on
+    # the order of the entries.
+    observed = (x.T @ y).T.toarray()
     stats = chi_squared_stats(observed, observed.sum(axis=1))
     keep = stats >= threshold
     kept_keys = vocab[keep]
@@ -108,31 +105,27 @@ def chi_squared_filter(bags, labels, threshold: float = DEFAULT_CHI2_THRESHOLD) 
 
 
 def vectorize(bag: BagOfPatterns, features: FeatureDictionary) -> sparse.csr_matrix:
-    """Counts of the retained keys as a 1 x m sparse row.
+    """Counts of the retained keys as a 1 x m sparse row, the row
+    ``vectorize_all`` gives the bag."""
+    return vectorize_all(bag.keys, bag.counts, np.array([0, len(bag)]), features)
 
-    This is the row ``vectorize_all`` gives the bag, so a series scores
-    the same alone and in a batch.
+
+def vectorize_all(keys, counts, indptr, features: FeatureDictionary) -> sparse.csr_matrix:
+    """Counts of the retained keys, one sparse row per bag, in canonical
+    CSR form (columns increasing, a repeated key's counts added up).
+
+    The keys of all bags go through one dictionary lookup.
     """
-    return vectorize_all([bag], features)
-
-
-def vectorize_all(bags, features: FeatureDictionary) -> sparse.csr_matrix:
-    """Counts of the retained keys, one sparse row per bag.
-
-    The keys of all bags go through one dictionary lookup; each row's
-    columns are in increasing order.
-    """
-    if not bags:
-        return sparse.csr_matrix((0, len(features)))
-    mask, cols = features.lookup(np.concatenate([b.keys for b in bags]))
+    n_rows, m = len(indptr) - 1, len(features)
+    mask, cols = features.lookup(keys)
     hit = np.flatnonzero(mask)
-    rows = np.searchsorted(np.cumsum([len(b) for b in bags]), hit, side="right")
+    rows = np.searchsorted(indptr[1:], hit, side="right")
     cols = cols[hit]
-    counts = np.concatenate([b.counts for b in bags])[hit]
-    order = np.argsort(rows * len(features) + cols)  # (row, column) pairs are unique
-    indptr = np.zeros(len(bags) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(bags)), out=indptr[1:])
-    return sparse.csr_matrix(
-        (counts[order].astype(np.float64), cols[order], indptr),
-        shape=(len(bags), len(features)),
+    order = np.argsort(rows * m + cols)  # a repeated key's entries end up adjacent
+    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=row_ptr[1:])
+    x = sparse.csr_matrix(
+        (counts[hit][order].astype(np.float64), cols[order], row_ptr), shape=(n_rows, m)
     )
+    x.sum_duplicates()
+    return x

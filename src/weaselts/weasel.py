@@ -18,13 +18,19 @@ label alone as in a batch. Only the fit on label-disjoint windows takes
 whole spectra of materialized windows (``fourier.window_ri_matrix``),
 because it ranks every column.
 
+A dataset's bags travel in the CSR layout of ``bop`` (keys, counts and
+row pointers), and ``selection.vectorize_all`` turns them into feature
+columns for training, cross-validation and ``predict_many`` alike.
+
 The candidates share one symbolic fit per fold: the window models are
 fitted and the bags built once, at the longest candidate word length,
-and a shorter candidate's bags follow by truncating every word
-(``BagOfPatterns.truncated``). This is exact, because the columns kept
-for a shorter word are a prefix of those kept for a longer one, bins
-are learned per column, and symbol ``j`` is packed at bits ``2j``. The
-candidates differ only in the chi-squared filter and the linear solve.
+and a shorter candidate's keys follow by masking every word
+(``bop.truncate_keys``). This is exact, because the columns kept for a
+shorter word are a prefix of those kept for a longer one, bins are
+learned per column, and symbol ``j`` is packed at bits ``2j``. The
+chi-squared filter and ``vectorize_all`` add up the keys that the mask
+makes equal, so the candidates differ only in those two steps and the
+linear solve.
 
 Everything downstream of the seed is deterministic: fitting the same
 data twice yields byte-identical serialized models.
@@ -50,6 +56,7 @@ from .bop import (
     build_bag,
     pack_words,
     series_keys,
+    truncate_keys,
     window_lengths,
 )
 from .errors import ConfigError, InsufficientClassesError, TooShortError
@@ -158,11 +165,12 @@ def _fit_window_models(series_list, labels, lengths, word_length, cfg):
 
 
 def _dataset_bags(series_list, models, bigrams):
-    """One bag per series over every fitted length that fits it.
+    """The bags of a dataset, one per series over every fitted length that
+    fits it, in CSR layout: ``(keys, counts, indptr)``.
 
     Equal-length series are transformed as one stack by ``series_keys``,
-    the function ``build_bag`` uses for a single series, so each bag
-    equals the one ``build_bag`` gives its series alone.
+    the function ``build_bag`` uses for a single series, so the entries
+    of each series equal the bag ``build_bag`` gives it alone.
     """
     buffers: list[list[np.ndarray]] = [[] for _ in series_list]
     for n, idx, mat in _length_groups(series_list):
@@ -173,21 +181,26 @@ def _dataset_bags(series_list, models, bigrams):
             for row, i in enumerate(idx):
                 buffers[i].append(keys[row])
     empty = np.empty(0, dtype=np.int64)
-    return [
+    bags = [
         BagOfPatterns.from_key_stream(np.concatenate(b) if b else empty)
         for b in buffers
     ]
+    del buffers  # free the raw keys before the bags are joined
+    indptr = np.zeros(len(bags) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in bags], out=indptr[1:])
+    keys = np.concatenate([empty] + [b.keys for b in bags])
+    return keys, np.concatenate([empty] + [b.counts for b in bags]), indptr
 
 
 def _fit_fixed(bags, labels, cfg):
     """Chi-squared filter and linear solve on the bags of one word length."""
-    features = chi_squared_filter(bags, labels, cfg.chi_threshold)
-    lin = train_linear(vectorize_all(bags, features), labels)
+    features = chi_squared_filter(*bags, labels, cfg.chi_threshold)
+    lin = train_linear(vectorize_all(*bags, features), labels)
     return features, lin
 
 
 def _predict_batch(bags, features, lin):
-    scores = decision_scores(lin, vectorize_all(bags, features))
+    scores = decision_scores(lin, vectorize_all(*bags, features))
     return [lin.classes[i] for i in np.argmax(scores, axis=1)], scores
 
 
@@ -296,19 +309,14 @@ def fit_weasel(train: LabeledDataset, config: WeaselConfig | None = None) -> Wea
                 models = _fit_window_models(
                     sub_series, sub_labels, lengths, candidates[-1], cfg
                 )
-                train_bags = _dataset_bags(sub_series, models, cfg.bigrams)
-                val_bags = _dataset_bags(
+                t_keys, *t_rest = _dataset_bags(sub_series, models, cfg.bigrams)
+                v_keys, *v_rest = _dataset_bags(
                     [train.series[i] for i in va], models, cfg.bigrams
                 )
                 truth = [train.labels[i] for i in va]
                 for l in candidates:
-                    if l < candidates[-1]:
-                        tb = [b.truncated(l) for b in train_bags]
-                        vb = [b.truncated(l) for b in val_bags]
-                    else:
-                        tb, vb = train_bags, val_bags
-                    feats, lin = _fit_fixed(tb, sub_labels, cfg)
-                    pred, _ = _predict_batch(vb, feats, lin)
+                    feats, lin = _fit_fixed((truncate_keys(t_keys, l), *t_rest), sub_labels, cfg)
+                    pred, _ = _predict_batch((truncate_keys(v_keys, l), *v_rest), feats, lin)
                     accs[l].append(
                         sum(p == t for p, t in zip(pred, truth)) / len(truth)
                     )

@@ -1,8 +1,11 @@
-"""Plain label statistics used as oracles by the binning tests.
+"""Plain label statistics used as oracles by the binning tests, and a
+plain bag builder for the selection tests.
 
-They work on label lists and a split point, one split at a time, unlike
-the count-based statistics the fit runs.
+The statistics work on label lists and a split point, one split at a
+time, unlike the count-based statistics the fit runs.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -24,3 +27,17 @@ def split_gain(values, labels, split_point):
     w_right = (labels.size - n_left) / labels.size
     split_h = w_left * entropy(labels[left]) + w_right * entropy(labels[~left])
     return max(0.0, entropy(labels) - split_h)
+
+
+def bag_layout(streams):
+    """The bags of key streams, one per stream and counted by ``Counter``,
+    in the CSR layout ``(keys, counts, indptr)`` with each bag's keys in
+    increasing order."""
+    keys, counts, indptr = [], [], [0]
+    for stream in streams:
+        bag = sorted(Counter(int(k) for k in stream).items())
+        keys += [k for k, _ in bag]
+        counts += [n for _, n in bag]
+        indptr.append(len(keys))
+    return (np.array(keys, dtype=np.int64), np.array(counts, dtype=np.int64),
+            np.array(indptr, dtype=np.int64))

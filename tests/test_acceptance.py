@@ -12,12 +12,14 @@ runs, private helpers included.
 
 import math
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import split_gain
+from ablation import ABLATION_MATRIX, ablation_suite
+from oracles import bag_layout, split_gain
 from weaselts import (
     LabeledDataset,
     TimeSeries,
@@ -35,7 +37,7 @@ from weaselts import (
 )
 from weaselts import synthetic
 from weaselts.symbolic import _entropy_from_counts, _gain_from_counts
-from weaselts.harness import ABLATION_MATRIX, ablation_suite, apply_flags, nn_accuracy
+from weaselts.harness import nn_accuracy
 
 
 def verdict(capsys, num, name, ok, detail):
@@ -245,19 +247,16 @@ def test_criterion_05_chi_squared_filtering(capsys):
         got = chi_squared_stats(observed, totals)
         worst = max(worst, float(np.abs(got - chi2_contingency_oracle(observed, totals)).max()))
 
-    from weaselts import BagOfPatterns
-
-    bag_a = BagOfPatterns(np.array([1, 2]), np.array([5, 5]))
-    bag_b = BagOfPatterns(np.array([1, 3]), np.array([5, 5]))
-    bags, labels = [bag_a, bag_a, bag_b, bag_b], ["a", "a", "b", "b"]
-    features = chi_squared_filter(bags, labels, threshold=2.0)
+    # four bags in CSR layout: {1: 5, 2: 5} twice, then {1: 5, 3: 5} twice
+    bags = (np.array([1, 2, 1, 2, 1, 3, 1, 3]), np.full(8, 5), np.arange(0, 9, 2))
+    features = chi_squared_filter(*bags, ["a", "a", "b", "b"], threshold=2.0)
     uniform_removed = 1 not in features.keys and len(features) == 2
 
     rng2 = np.random.default_rng(106)
-    rand_bags = [BagOfPatterns.from_key_stream(rng2.integers(0, 40, 60)) for _ in range(18)]
+    rand_bags = bag_layout(rng2.integers(0, 40, 60) for _ in range(18))
     rand_labels = ["a", "b", "c"] * 6
     kept = [
-        set(chi_squared_filter(rand_bags, rand_labels, threshold=t).keys.tolist())
+        set(chi_squared_filter(*rand_bags, rand_labels, threshold=t).keys.tolist())
         for t in (0.0, 1.0, 2.0, 5.0, 20.0)
     ]
     nested = all(hi >= lo for hi, lo in zip(kept[:-1], kept[1:]))
@@ -300,8 +299,8 @@ def suite_runs():
     datasets = {}
     for name, (train, test), cfg in ablation_suite():
         datasets[name] = (train, test, cfg)
-        for label, flags in ABLATION_MATRIX:
-            model = fit_weasel(train, apply_flags(cfg, **flags))
+        for label, changes in ABLATION_MATRIX:
+            model = fit_weasel(train, replace(cfg, **changes))
             pred = model.predict_many(test)
             acc = sum(p == t for p, t in zip(pred, test.labels)) / len(test.labels)
             runs[(name, label)] = SimpleNamespace(
@@ -334,7 +333,7 @@ def test_criterion_07_supervision_and_bigrams_earn_their_keep(capsys, suite_runs
     train, test, cfg = datasets["multi_scale"]
     single_accs = {}
     for w in (10, 16, 32, 64):
-        model = fit_weasel(train, apply_flags(cfg, single_window=w))
+        model = fit_weasel(train, replace(cfg, w_min=w, w_max=w))
         pred = model.predict_many(test)
         single_accs[w] = sum(p == t for p, t in zip(pred, test.labels)) / len(test.labels)
     multi = runs[("multi_scale", "supervised+bigrams")].acc

@@ -21,6 +21,7 @@ from weaselts.bop import (
     KIND_BIGRAM,
     KIND_UNIGRAM,
     series_keys,
+    truncate_keys,
 )
 
 
@@ -137,14 +138,6 @@ def test_bag_counts_match_counter_oracle():
     assert np.all(np.diff(bag.keys) > 0)
 
 
-def test_bag_equality():
-    a = BagOfPatterns.from_key_stream(np.array([1, 2, 2]))
-    b = BagOfPatterns.from_key_stream(np.array([2, 1, 2]))
-    c = BagOfPatterns.from_key_stream(np.array([1, 2]))
-    assert a == b
-    assert a != c
-
-
 def test_truncated_bag_matches_counter_of_shorter_words():
     rng = np.random.default_rng(44)
     for alphabet in (2, 4):
@@ -156,7 +149,6 @@ def test_truncated_bag_matches_counter_of_shorter_words():
             [unigram_keys(w, pack_words(s)) for w, s in streams]
             + [bigram_keys(w, pack_words(s)) for w, s in streams]
         )
-        bag = BagOfPatterns.from_key_stream(keys)
         for l in range(1, 9):
             short = [(w, pack_words(s[:, :l])) for w, s in streams]
             expect = Counter(
@@ -164,11 +156,9 @@ def test_truncated_bag_matches_counter_of_shorter_words():
                 for w, words in short
                 for k in np.concatenate([unigram_keys(w, words), bigram_keys(w, words)])
             )
-            got = bag.truncated(l)
-            assert dict(zip(got.keys.tolist(), got.counts.tolist())) == dict(expect)
-            stream = np.array(list(expect.elements()))
-            assert got == BagOfPatterns.from_key_stream(stream)
-            assert got.counts.dtype == np.int64 and got.counts.sum() == bag.counts.sum()
+            got = truncate_keys(keys, l)
+            assert Counter(got.tolist()) == expect
+            assert got.dtype == np.int64 and got.size == keys.size
 
 
 def test_series_keys_counts_and_contents():
@@ -228,4 +218,6 @@ def test_build_bag_deterministic():
     models = {8: fitted_model(8), 10: fitted_model(10, seed=50)}
     rng = np.random.default_rng(51)
     ts = TimeSeries(rng.standard_normal(40))
-    assert build_bag(ts, models) == build_bag(ts, models)
+    a, b = build_bag(ts, models), build_bag(ts, models)
+    assert a.keys.tobytes() == b.keys.tobytes()
+    assert a.counts.tobytes() == b.counts.tobytes()

@@ -24,8 +24,8 @@ from weaselts import (
     run_benchmark,
     serialize_model,
 )
+from ablation import ABLATION_MATRIX, ablation_suite
 from weaselts.cli import main
-from weaselts.harness import ABLATION_MATRIX, ablation_suite, apply_flags
 from weaselts import synthetic
 
 
@@ -184,14 +184,6 @@ def test_report_save(tmp_path):
 
 # ---------------------------------------------------------------------------
 # ablation plumbing
-
-
-def test_apply_flags():
-    base = WeaselConfig()
-    assert apply_flags(base) is base
-    cfg = apply_flags(base, no_bigrams=True, unsupervised=True, single_window=16)
-    assert not cfg.bigrams and not cfg.supervised
-    assert cfg.w_min == 16 and cfg.w_max == 16
 
 
 def test_ablation_matrix_and_suite_shape():

@@ -1,15 +1,22 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
+from oracles import bag_layout
 from weaselts import (
     BagOfPatterns,
     FeatureDictionary,
     InsufficientClassesError,
+    bigram_keys,
     chi_squared_filter,
     chi_squared_stats,
+    pack_words,
+    unigram_keys,
     vectorize,
     vectorize_all,
 )
+from weaselts.bop import truncate_keys
 
 
 def chi2_oracle(observed, class_totals):
@@ -57,14 +64,19 @@ def test_chi_squared_zero_expectation_cells():
 
 def _biased_bags():
     """Two bags per class; key 1 is uniform, keys 2 and 3 are class pure."""
-    a = BagOfPatterns(np.array([1, 2]), np.array([5, 5]))
-    b = BagOfPatterns(np.array([1, 3]), np.array([5, 5]))
-    return [a, a, b, b], ["a", "a", "b", "b"]
+    bags = (np.array([1, 2, 1, 2, 1, 3, 1, 3]), np.full(8, 5), np.arange(0, 9, 2))
+    return bags, ["a", "a", "b", "b"]
+
+
+def _rows(bags):
+    """Each bag of a CSR layout as a BagOfPatterns."""
+    keys, counts, indptr = bags
+    return [BagOfPatterns(keys[a:b], counts[a:b]) for a, b in zip(indptr, indptr[1:])]
 
 
 def test_filter_drops_uniform_feature():
     bags, labels = _biased_bags()
-    features = chi_squared_filter(bags, labels, threshold=2.0)
+    features = chi_squared_filter(*bags, labels, threshold=2.0)
     assert sorted(features.keys.tolist()) == [2, 3]
     assert features.n_candidates == 3
     assert len(features) == 2
@@ -73,7 +85,7 @@ def test_filter_drops_uniform_feature():
 
 def test_filter_orders_by_score_then_key():
     bags, labels = _biased_bags()
-    features = chi_squared_filter(bags, labels, threshold=2.0)
+    features = chi_squared_filter(*bags, labels, threshold=2.0)
     # keys 2 and 3 have mirror-image tables, hence identical scores
     assert features.chi2[0] == features.chi2[1]
     np.testing.assert_array_equal(features.keys, [2, 3])
@@ -81,12 +93,10 @@ def test_filter_orders_by_score_then_key():
 
 def test_filter_threshold_monotonicity():
     rng = np.random.default_rng(61)
-    bags = [
-        BagOfPatterns.from_key_stream(rng.integers(0, 40, 60)) for _ in range(18)
-    ]
+    bags = bag_layout(rng.integers(0, 40, 60) for _ in range(18))
     labels = ["a", "b", "c"] * 6
     kept = [
-        set(chi_squared_filter(bags, labels, threshold=t).keys.tolist())
+        set(chi_squared_filter(*bags, labels, threshold=t).keys.tolist())
         for t in (0.0, 0.5, 2.0, 5.0, 20.0)
     ]
     for lo, hi in zip(kept[1:], kept[:-1]):
@@ -96,21 +106,23 @@ def test_filter_threshold_monotonicity():
 
 def test_filter_invariant_to_bag_order():
     rng = np.random.default_rng(62)
-    bags = [BagOfPatterns.from_key_stream(rng.integers(0, 25, 40)) for _ in range(12)]
+    streams = [rng.integers(0, 25, 40) for _ in range(12)]
     labels = ["a", "b"] * 6
-    base = chi_squared_filter(bags, labels)
+    base = chi_squared_filter(*bag_layout(streams), labels)
     perm = rng.permutation(12)
-    shuffled = chi_squared_filter([bags[i] for i in perm], [labels[i] for i in perm])
+    shuffled = chi_squared_filter(
+        *bag_layout(streams[i] for i in perm), [labels[i] for i in perm]
+    )
     np.testing.assert_array_equal(base.keys, shuffled.keys)
     np.testing.assert_array_equal(base.chi2, shuffled.chi2)
 
 
 def test_filter_validation():
-    bags, _ = _biased_bags()
+    (keys, counts, indptr), _ = _biased_bags()
     with pytest.raises(InsufficientClassesError):
-        chi_squared_filter(bags, ["a", "a", "a", "a"])
+        chi_squared_filter(keys, counts, indptr, ["a", "a", "a", "a"])
     with pytest.raises(ValueError):
-        chi_squared_filter(bags[:3], ["a", "b"])
+        chi_squared_filter(keys[:6], counts[:6], indptr[:4], ["a", "b"])
 
 
 def test_feature_dictionary_lookup():
@@ -131,9 +143,9 @@ def test_feature_dictionary_empty():
 
 def test_vectorize_matches_column_lookup():
     bags, labels = _biased_bags()
-    features = chi_squared_filter(bags, labels)
+    features = chi_squared_filter(*bags, labels)
     column_of = {int(k): c for c, k in enumerate(features.keys)}
-    for bag in bags:
+    for bag in _rows(bags):
         expect = np.zeros(len(features))
         for key, count in zip(bag.keys.tolist(), bag.counts.tolist()):
             if key in column_of:
@@ -143,31 +155,70 @@ def test_vectorize_matches_column_lookup():
 
 def test_vectorize_all_equals_per_bag_rows_exactly():
     rng = np.random.default_rng(64)
-    bags = [BagOfPatterns.from_key_stream(rng.integers(0, 60, rng.integers(0, 40)))
-            for _ in range(12)]
-    features = chi_squared_filter(bags, ["a", "b", "c"] * 4, threshold=0.5)
+    bags = bag_layout(rng.integers(0, 60, rng.integers(0, 40)) for _ in range(12))
+    features = chi_squared_filter(*bags, ["a", "b", "c"] * 4, threshold=0.5)
     column_of = {int(k): c for c, k in enumerate(features.keys)}
     data, indices, indptr = [], [], [0]
-    for bag in bags:  # the CSR arrays built row by row from a plain dict
+    for bag in _rows(bags):  # the CSR arrays built row by row from a plain dict
         row = sorted((column_of[int(k)], int(n)) for k, n in zip(bag.keys, bag.counts)
                      if int(k) in column_of)
         indices += [c for c, _ in row]
         data += [float(n) for _, n in row]
         indptr.append(len(indices))
-    x = vectorize_all(bags, features)
+    x = vectorize_all(*bags, features)
     assert x.shape == (12, len(features))
     assert x.data.dtype == np.float64 and x.data.tolist() == data
     assert x.indices.tolist() == indices
     assert x.indptr.tolist() == indptr
-    assert vectorize_all([], features).shape == (0, len(features))
+    none = np.empty(0, dtype=np.int64)
+    assert vectorize_all(none, none, [0], features).shape == (0, len(features))
 
 
 def test_vectorize_all_stacks_single_rows():
     rng = np.random.default_rng(63)
-    bags = [BagOfPatterns.from_key_stream(rng.integers(0, 30, 50)) for _ in range(10)]
+    bags = bag_layout(rng.integers(0, 30, 50) for _ in range(10))
     labels = ["a", "b"] * 5
-    features = chi_squared_filter(bags, labels, threshold=0.5)
-    stacked = vectorize_all(bags, features).toarray()
+    features = chi_squared_filter(*bags, labels, threshold=0.5)
+    stacked = vectorize_all(*bags, features).toarray()
     assert stacked.shape == (10, len(features))
-    for i, bag in enumerate(bags):
+    for i, bag in enumerate(_rows(bags)):
         np.testing.assert_array_equal(stacked[i], vectorize(bag, features).toarray()[0])
+
+
+def test_truncated_keys_add_up_within_a_row():
+    # truncated keys repeat within a bag; the filter and the rows must
+    # count them as the bag of the truncated words does
+    rng = np.random.default_rng(66)
+    streams = []
+    for _ in range(15):
+        parts = []
+        for w in (8, 9, 20):
+            words = pack_words(rng.integers(0, 4, (int(rng.integers(0, 30)), 8)))
+            parts += [unigram_keys(w, words), bigram_keys(w, words)]
+        streams.append(np.concatenate(parts))
+    labels = ["a", "b", "c"] * 5
+    keys, counts, indptr = bag_layout(streams)
+    for l in rng.integers(1, 9, 6):
+        short = truncate_keys(keys, int(l))
+        features = chi_squared_filter(short, counts, indptr, labels, threshold=0.5)
+        merged = chi_squared_filter(
+            *bag_layout(truncate_keys(s, int(l)) for s in streams), labels, threshold=0.5
+        )
+        assert features.keys.tolist() == merged.keys.tolist()
+        assert features.chi2.tobytes() == merged.chi2.tobytes()
+        assert features.n_candidates == merged.n_candidates
+        column_of = {int(k): c for c, k in enumerate(features.keys)}
+        data, indices, row_ptr = [], [], [0]
+        for a, b in zip(indptr, indptr[1:]):  # the rows summed in a plain dict
+            row = defaultdict(int)
+            for k, n in zip(short[a:b].tolist(), counts[a:b].tolist()):
+                if k in column_of:
+                    row[column_of[k]] += n
+            indices += sorted(row)
+            data += [float(row[c]) for c in sorted(row)]
+            row_ptr.append(len(indices))
+        x = vectorize_all(short, counts, indptr, features)
+        assert x.has_canonical_format
+        assert x.data.tolist() == data
+        assert x.indices.tolist() == indices
+        assert x.indptr.tolist() == row_ptr

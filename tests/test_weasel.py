@@ -19,8 +19,9 @@ from weaselts import (
     serialize_model,
     variant_name,
 )
+from oracles import bag_layout
 from weaselts import cli, synthetic
-from weaselts.bop import build_bag
+from weaselts.bop import build_bag, truncate_keys
 from weaselts.linear import C, DEFAULT_TOLERANCE, loss_gradient
 from weaselts.selection import vectorize_all
 from weaselts.weasel import _dataset_bags, _fit_window_models, _predict_batch
@@ -191,13 +192,16 @@ def test_truncated_bags_equal_bags_of_shorter_fits(supervised, bigrams):
     series, labels = list(train.series), list(train.labels)
     lengths = list(range(8, 17))
     longest = _fit_window_models(series, labels, lengths, 8, cfg)
-    bags = _dataset_bags(series, longest, bigrams)
+    keys, counts, indptr = _dataset_bags(series, longest, bigrams)
     for l in range(1, 8):
         models = _fit_window_models(series, labels, lengths, l, cfg)
         for w, model in models.items():
             np.testing.assert_array_equal(model.columns, longest[w].columns[:l])
-        expect = _dataset_bags(series, models, bigrams)
-        assert [b.truncated(l) for b in bags] == expect
+        short = truncate_keys(keys, l)
+        merged = bag_layout(
+            np.repeat(short[a:b], counts[a:b]) for a, b in zip(indptr, indptr[1:])
+        )
+        assert_same_layout(merged, _dataset_bags(series, models, bigrams))
 
 
 def test_cv_fit_equals_single_candidate_fit(masked_fit):
@@ -270,7 +274,7 @@ def test_training_order_does_not_change_the_fit(invariance_fits):
         assert permuted.predict_many(test) == model.predict_many(test)
         # the permuted weights solve the problem in the original order
         bags = _dataset_bags(train.series, permuted.window_models, INVARIANCE_CFG.bigrams)
-        x = vectorize_all(bags, permuted.features)
+        x = vectorize_all(*bags, permuted.features)
         xa = sparse.hstack([x, sparse.csr_matrix(np.ones((x.shape[0], 1)))], format="csr")
         for cls, w, b in zip(permuted.classes, permuted.linear.weights,
                              permuted.linear.bias_weights):
@@ -297,11 +301,21 @@ def test_affine_training_data_give_the_same_fit(invariance_fits):
 # prediction
 
 
+def assert_same_layout(got, want):
+    """Two CSR bag layouts (keys, counts, indptr) are equal bit for bit."""
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def assert_paths_agree(model, series):
     """Batched bags, scores and labels equal the per-series ones, bit for bit."""
     cfg = model.config
     bags = _dataset_bags(series, model.window_models, cfg.bigrams)
-    assert bags == [build_bag(ts, model.window_models, cfg.bigrams) for ts in series]
+    singles = [build_bag(ts, model.window_models, cfg.bigrams) for ts in series]
+    assert_same_layout(bags, (
+        np.concatenate([b.keys for b in singles]),
+        np.concatenate([b.counts for b in singles]),
+        np.cumsum([0] + [len(b) for b in singles]),
+    ))
     _, scores = _predict_batch(bags, model.features, model.linear)
     for ts, row in zip(series, scores):
         assert model.predict_scores(ts).tobytes() == row.tobytes()
@@ -333,10 +347,15 @@ def test_predictions_ignore_offset_and_scale_of_long_series():
     labels = model.predict_many(queries)
     for a, b in ((1.0, 1e6), (0.5, -1e6), (3.0, 1e3), (1.0, -2.5)):
         moved = [TimeSeries(a * ts.values + b) for ts in queries.series]
-        assert _dataset_bags(moved, model.window_models, cfg.bigrams) == base
+        assert_same_layout(_dataset_bags(moved, model.window_models, cfg.bigrams), base)
         assert [model.predict_scores(ts).tobytes() for ts in moved] == scores
         assert model.predict_many(moved) == labels
         assert [model.predict(ts) for ts in moved] == labels
+
+
+def test_predict_many_of_no_series_is_empty(masked_fit):
+    _, _, model = masked_fit
+    assert model.predict_many([]) == []
 
 
 def test_predict_rejects_too_short_series(masked_fit):
