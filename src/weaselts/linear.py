@@ -44,16 +44,6 @@ class LinearModel:
     bias_weights: np.ndarray  # (k,)
     bias: float
 
-    @property
-    def n_features(self) -> int:
-        return int(self.weights.shape[1])
-
-
-def _as_csr(vectors) -> sparse.csr_matrix:
-    if sparse.issparse(vectors):
-        return vectors.tocsr().astype(np.float64)
-    return sparse.csr_matrix(np.asarray(vectors, dtype=np.float64))
-
 
 def loss_gradient(w: np.ndarray, xa, y: np.ndarray, c: float):
     """Regularized logistic loss and its gradient at stacked weights
@@ -91,7 +81,7 @@ def _solve_binary(xa: sparse.csr_matrix, y: np.ndarray, c: float, tol: float) ->
 
 def train_linear(vectors, labels, tolerance: float = DEFAULT_TOLERANCE) -> LinearModel:
     """Fit one-vs-rest logistic weights on sparse count vectors."""
-    x = _as_csr(vectors)
+    x = sparse.csr_matrix(vectors, dtype=np.float64)  # no copy of a float64 CSR
     labels = np.asarray([str(lab) for lab in labels])
     if x.shape[0] != labels.size:
         raise ShapeError("vectors and labels must be parallel")
@@ -119,9 +109,7 @@ def train_linear(vectors, labels, tolerance: float = DEFAULT_TOLERANCE) -> Linea
 
 def decision_scores(model: LinearModel, vectors) -> np.ndarray:
     """Per-class scores w'x + b * bias, shape (rows, k)."""
-    x = _as_csr(vectors)
-    if x.shape[1] != model.n_features:
-        raise ShapeError(
-            f"expected {model.n_features} feature columns, got {x.shape[1]}"
-        )
+    x = sparse.csr_matrix(vectors, dtype=np.float64)  # no copy of a float64 CSR
+    if x.shape[1] != model.weights.shape[1]:
+        raise ShapeError(f"expected {model.weights.shape[1]} feature columns, got {x.shape[1]}")
     return x @ model.weights.T + model.bias * model.bias_weights

@@ -7,19 +7,19 @@ Both steps take a dataset's bags in the CSR layout of ``bop``: arrays
 
 Each candidate word key is scored with a 2 x k contingency table: the
 key's per-class occurrence totals against the per-class totals of all
-other words. Keys scoring at or above the threshold survive and are
-assigned contiguous column indices in descending-score order (ties by
-key value), which fixes the layout of the classifier's input space.
+other words. Keys scoring at or above the threshold survive, and their
+increasing key order is the column order of the classifier's input
+space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .errors import InsufficientClassesError
+from .errors import ConfigError, InsufficientClassesError
 from .bop import BagOfPatterns
 
 DEFAULT_CHI2_THRESHOLD = 2.0
@@ -52,18 +52,19 @@ def chi_squared_stats(observed: np.ndarray, class_totals: np.ndarray) -> np.ndar
 
 @dataclass(eq=False)
 class FeatureDictionary:
-    """Retained keys in column order, with their scores."""
+    """Retained keys with their scores; column ``j`` holds ``keys[j]``.
+
+    Keys strictly increase, so ``lookup`` finds a key's column with one
+    binary search; ``ConfigError`` otherwise.
+    """
 
     keys: np.ndarray
     chi2: np.ndarray
     n_candidates: int
-    _sorted_keys: np.ndarray = field(init=False, repr=False)
-    _sorted_cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        order = np.argsort(self.keys, kind="stable")
-        self._sorted_keys = self.keys[order]
-        self._sorted_cols = order
+        if np.any(self.keys[1:] <= self.keys[:-1]):
+            raise ConfigError("feature keys do not strictly increase")
 
     def __len__(self) -> int:
         return int(self.keys.size)
@@ -71,12 +72,11 @@ class FeatureDictionary:
     def lookup(self, keys: np.ndarray):
         """Columns for a key array; returns (mask, columns)."""
         keys = np.asarray(keys, dtype=np.int64)
-        if self._sorted_keys.size == 0:
+        if self.keys.size == 0:
             return np.zeros(keys.size, dtype=bool), np.zeros(keys.size, dtype=np.int64)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        np.minimum(pos, self._sorted_keys.size - 1, out=pos)
-        mask = self._sorted_keys[pos] == keys
-        return mask, self._sorted_cols[pos]
+        cols = np.searchsorted(self.keys, keys)
+        np.minimum(cols, self.keys.size - 1, out=cols)
+        return self.keys[cols] == keys, cols
 
 
 def chi_squared_filter(
@@ -98,10 +98,7 @@ def chi_squared_filter(
     observed = (x.T @ y).T.toarray()
     stats = chi_squared_stats(observed, observed.sum(axis=1))
     keep = stats >= threshold
-    kept_keys = vocab[keep]
-    kept_stats = stats[keep]
-    order = np.lexsort((kept_keys, -kept_stats))
-    return FeatureDictionary(kept_keys[order], kept_stats[order], int(vocab.size))
+    return FeatureDictionary(vocab[keep], stats[keep], int(vocab.size))
 
 
 def vectorize(bag: BagOfPatterns, features: FeatureDictionary) -> sparse.csr_matrix:
@@ -114,18 +111,16 @@ def vectorize_all(keys, counts, indptr, features: FeatureDictionary) -> sparse.c
     """Counts of the retained keys, one sparse row per bag, in canonical
     CSR form (columns increasing, a repeated key's counts added up).
 
-    The keys of all bags go through one dictionary lookup.
+    The keys of all bags go through one dictionary lookup. Columns follow
+    key order, so the rows of increasing keys are canonical as built; only
+    truncated keys, which repeat out of order, leave sorting and adding up
+    to ``sum_duplicates``.
     """
-    n_rows, m = len(indptr) - 1, len(features)
     mask, cols = features.lookup(keys)
     hit = np.flatnonzero(mask)
-    rows = np.searchsorted(indptr[1:], hit, side="right")
-    cols = cols[hit]
-    order = np.argsort(rows * m + cols)  # a repeated key's entries end up adjacent
-    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=row_ptr[1:])
     x = sparse.csr_matrix(
-        (counts[hit][order].astype(np.float64), cols[order], row_ptr), shape=(n_rows, m)
+        (counts[hit].astype(np.float64), cols[hit], np.searchsorted(hit, indptr)),
+        shape=(len(indptr) - 1, len(features)),
     )
     x.sum_duplicates()
     return x

@@ -50,6 +50,7 @@ from . import fourier
 # because the benchmark's tracer (perfbench/spans.py) wraps them by name in
 # this module.
 from .bop import (
+    _KIND_SHIFT,
     BagOfPatterns,
     MAX_ALPHABET,
     MAX_WORD_LENGTH,
@@ -72,7 +73,7 @@ from .symbolic import SymbolicModel, digitize_columns, fit_symbolic_model
 from .ts import LabeledDataset, TimeSeries
 
 MODEL_FORMAT = "weaselts-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -385,8 +386,8 @@ def save_model(model: WeaselModel, path) -> None:
 def deserialize_model(text: str) -> WeaselModel:
     """Rebuild a model from ``serialize_model`` text; a document that is
     not JSON, not a model document of this version, lacks a field, holds
-    arrays that do not fit together, or holds a weight or score that is
-    not finite raises ``ConfigError``."""
+    a config value of the wrong type, arrays that do not fit together, or
+    a weight or score that is not finite raises ``ConfigError``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -403,6 +404,14 @@ def deserialize_model(text: str) -> WeaselModel:
         raise ConfigError(f"malformed model document: {exc}") from None
 
 
+# The JSON types of the config fields in a model file; a bool is no int.
+_CONFIG_TYPES = {
+    "word_lengths": (list,), "alphabet": (int,), "chi_threshold": (int, float),
+    "w_min": (int,), "w_max": (int, type(None)), "bigrams": (bool,),
+    "supervised": (bool,), "folds": (int,), "seed": (int,),
+}
+
+
 def _model_from_document(doc: dict) -> WeaselModel:
     # Whole-array checks only, so that a large model loads in parsing time.
     c = doc["config"]
@@ -410,6 +419,9 @@ def _model_from_document(doc: dict) -> WeaselModel:
     if not isinstance(c, dict) or not set(c) <= set(names):
         raise ConfigError(f"model config is not an object of the fields {names}")
     values = {name: c[name] for name in names}
+    mistyped = [name for name in names if type(values[name]) not in _CONFIG_TYPES[name]]
+    if mistyped or any(type(l) is not int for l in values["word_lengths"]):
+        raise ConfigError(f"model config fields of the wrong type: {mistyped or ['word_lengths']}")
     cfg = WeaselConfig(**{**values, "word_lengths": tuple(values["word_lengths"])})
     cfg.validate()
     word_length = int(doc["word_length"])
@@ -432,9 +444,9 @@ def _model_from_document(doc: dict) -> WeaselModel:
         raise ConfigError(f"{keys.shape} feature keys but {chi2.shape} scores")
     if not np.isfinite(chi2).all():
         raise ConfigError("feature scores are not all finite")
+    if not cfg.bigrams and np.any(keys & (np.int64(1) << _KIND_SHIFT)):
+        raise ConfigError("bigram feature keys in a model without bigrams")
     features = FeatureDictionary(keys, chi2, int(doc["features_pre"]))
-    if np.any(features._sorted_keys[1:] == features._sorted_keys[:-1]):
-        raise ConfigError("a feature key repeats")
     classes = [str(x) for x in doc["linear"]["classes"]]
     weights = np.asarray(doc["linear"]["weights"], dtype=np.float64)
     bias_weights = np.asarray(doc["linear"]["bias_weights"], dtype=np.float64)

@@ -398,6 +398,13 @@ def test_cli_rejects_version_1_model_files(model_document, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: unsupported model version 1")
     assert captured.out == ""
+    # version 2 numbered feature columns by score, not by key
+    old = copy.deepcopy(doc)
+    old["version"] = 2
+    assert predict_with(old, tmp_path, test) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unsupported model version 2")
+    assert captured.out == ""
 
 
 def _first_window(doc):
@@ -409,8 +416,14 @@ def _each_window(doc, change):
         change(entry)
 
 
+def _swap_first_keys(doc):
+    keys = doc["features"]["keys"]
+    keys[0], keys[1] = keys[1], keys[0]
+
+
 COLUMNS = "4 in-spectrum columns each"
 MALFORMED = "malformed model document"
+TYPE = "model config fields of the wrong type"
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -420,6 +433,21 @@ MALFORMED = "malformed model document"
                  "model config is not an object", id="config-unknown-field"),
     pytest.param(lambda d: d["config"].update(alphabet=5),
                  "alphabet size must be in 2..4", id="config-invalid"),
+    pytest.param(lambda d: d["config"].update(bigrams=0), TYPE, id="bigrams-zero"),
+    pytest.param(lambda d: d["config"].update(bigrams=None), TYPE, id="bigrams-null"),
+    pytest.param(lambda d: d["config"].update(bigrams="false"), TYPE, id="bigrams-string"),
+    pytest.param(lambda d: d["config"].update(supervised=1), TYPE, id="supervised-one"),
+    pytest.param(lambda d: d["config"].update(alphabet=4.0), TYPE, id="alphabet-float"),
+    pytest.param(lambda d: d["config"].update(w_min=8.0), TYPE, id="w-min-float"),
+    pytest.param(lambda d: d["config"].update(folds=True), TYPE, id="folds-bool"),
+    pytest.param(lambda d: d["config"].update(seed="0"), TYPE, id="seed-string"),
+    pytest.param(lambda d: d["config"].update(word_lengths=[4.5]), TYPE,
+                 id="word-length-float"),
+    pytest.param(lambda d: d["config"].update(w_max=48.0), TYPE, id="w-max-float"),
+    pytest.param(lambda d: d["config"].update(chi_threshold=True), TYPE,
+                 id="chi-threshold-bool"),
+    pytest.param(lambda d: d["config"].update(bigrams=False),
+                 "bigram feature keys in a model without bigrams", id="bigram-keys-unigram-model"),
     pytest.param(lambda d: d["linear"].update(weights=d["linear"]["weights"][:1]),
                  "weights shaped", id="weights-one-row"),
     pytest.param(lambda d: d["linear"]["bias_weights"].pop(), "weights shaped",
@@ -441,7 +469,9 @@ MALFORMED = "malformed model document"
     pytest.param(lambda d: d["features"]["chi2"].pop(), "feature keys but",
                  id="chi2-short"),
     pytest.param(lambda d: d["features"]["keys"].__setitem__(1, d["features"]["keys"][0]),
-                 "a feature key repeats", id="key-repeated"),
+                 "feature keys do not strictly increase", id="key-repeated"),
+    pytest.param(_swap_first_keys, "feature keys do not strictly increase",
+                 id="keys-descending"),
     pytest.param(lambda d: d["linear"]["weights"][0].__setitem__(0, float("nan")),
                  "not all finite", id="weight-nan"),
     pytest.param(lambda d: d["linear"]["bias_weights"].__setitem__(1, float("inf")),

@@ -6,6 +6,7 @@ import pytest
 from oracles import bag_layout
 from weaselts import (
     BagOfPatterns,
+    ConfigError,
     FeatureDictionary,
     InsufficientClassesError,
     bigram_keys,
@@ -83,12 +84,17 @@ def test_filter_drops_uniform_feature():
     assert np.all(features.chi2 >= 2.0)
 
 
-def test_filter_orders_by_score_then_key():
-    bags, labels = _biased_bags()
-    features = chi_squared_filter(*bags, labels, threshold=2.0)
-    # keys 2 and 3 have mirror-image tables, hence identical scores
-    assert features.chi2[0] == features.chi2[1]
-    np.testing.assert_array_equal(features.keys, [2, 3])
+def test_filter_numbers_columns_in_key_order():
+    # key 1 is near uniform, key 2 is pure to class a and key 3, more
+    # often seen, pure to class b: scores rank the keys 3, 2, 1
+    bags = (np.array([1, 2, 1, 2, 1, 3, 1, 3]), np.array([5, 2, 5, 2, 5, 8, 5, 8]),
+            np.arange(0, 9, 2))
+    features = chi_squared_filter(*bags, ["a", "a", "b", "b"], threshold=0.0)
+    observed = np.array([[10, 4, 0], [10, 0, 16]])
+    expect = chi_squared_stats(observed, observed.sum(axis=1))
+    assert np.argsort(-expect).tolist() == [2, 1, 0]
+    np.testing.assert_array_equal(features.keys, [1, 2, 3])
+    assert features.chi2.tolist() == expect.tolist()
 
 
 def test_filter_threshold_monotonicity():
@@ -126,10 +132,16 @@ def test_filter_validation():
 
 
 def test_feature_dictionary_lookup():
-    features = FeatureDictionary(np.array([30, 10, 20]), np.array([5.0, 4.0, 3.0]), 7)
-    mask, cols = features.lookup(np.array([10, 99, 30, 20]))
-    np.testing.assert_array_equal(mask, [True, False, True, True])
-    np.testing.assert_array_equal(cols[mask], [1, 0, 2])
+    features = FeatureDictionary(np.array([10, 20, 30]), np.array([4.0, 3.0, 5.0]), 7)
+    mask, cols = features.lookup(np.array([10, 99, 30, 20, 5]))
+    np.testing.assert_array_equal(mask, [True, False, True, True, False])
+    np.testing.assert_array_equal(cols[mask], [0, 2, 1])
+
+
+@pytest.mark.parametrize("keys", [[10, 20, 20], [10, 30, 20], [30, 20, 10]])
+def test_feature_dictionary_needs_increasing_keys(keys):
+    with pytest.raises(ConfigError, match="feature keys do not strictly increase"):
+        FeatureDictionary(np.array(keys), np.ones(3), 7)
 
 
 def test_feature_dictionary_empty():

@@ -380,7 +380,7 @@ def test_serialized_document_shape(masked_fit):
     _, _, model = masked_fit
     doc = json.loads(serialize_model(model))
     assert doc["format"] == "weaselts-model"
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert set(doc) >= {"config", "word_length", "window_models", "features", "linear"}
     assert serialize_model(model).endswith("\n")
 
