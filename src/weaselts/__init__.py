@@ -21,7 +21,7 @@ from .errors import (
 from .fourier import sliding_ri_columns, window_ri_matrix
 from .harness import BenchRow, BenchmarkReport, nn_accuracy, nn_euclidean, run_benchmark
 from .linear import LinearModel, decision_scores, train_linear
-from .selection import DEFAULT_CHI2_THRESHOLD, FeatureDictionary, chi_squared_filter, chi_squared_stats, vectorize, vectorize_all
+from .selection import DEFAULT_CHI2_THRESHOLD, FeatureDictionary, chi_squared_filter, chi_squared_stats, vectorize_all
 from .symbolic import (
     SymbolicModel,
     equi_depth_bins,

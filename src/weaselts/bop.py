@@ -12,9 +12,10 @@ Injective for word lengths up to 8, alphabets up to 4, and window
 lengths below 4096, so keys from all window lengths and both kinds can
 share one bag.
 
-``series_keys`` is the one place where sliding windows become keys: it
-serves ``build_bag`` for one series and the batched bag builder of the
-classifier for a stack of equal-length series alike.
+``series_keys`` is the one place where sliding windows become keys, and
+``build_bag`` the one place where keys become bags: it takes a stack of
+equal-length series and gives one bag per row, for the fit and for
+prediction alike.
 
 The bags of a dataset travel in one CSR (compressed sparse row) layout:
 arrays ``keys`` (int64) and ``counts``, where series ``i`` owns entries
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .ts import TimeSeries
 from .symbolic import SymbolicModel, sliding_symbols
 
 KIND_UNIGRAM = 0
@@ -140,12 +140,17 @@ def series_keys(
     return np.concatenate(parts, axis=-1)
 
 
-def build_bag(ts: TimeSeries, models: dict, bigrams: bool = True) -> BagOfPatterns:
-    """One unified bag over every fitted window length that fits the
-    series."""
+def build_bag(values: np.ndarray, models: dict, bigrams: bool = True) -> list:
+    """One unified bag per row of a stack ``(N, n)`` of equal-length
+    series, over every fitted window length up to ``n``. Keys are joined
+    one row at a time, so no copy of the whole stack's keys is made."""
+    # A one-row stack gets the same keys as its 1-D row, at less overhead.
+    rows = values[0] if len(values) == 1 else values
     streams = [
-        series_keys(ts.values, models[w], bigrams) for w in sorted(models) if w <= ts.n
+        series_keys(rows, models[w], bigrams).reshape(len(values), -1)
+        for w in sorted(models) if w <= values.shape[1]
     ]
-    if not streams:
-        raise ConfigError("no usable window length for this series")
-    return BagOfPatterns.from_key_stream(np.concatenate(streams))
+    return [
+        BagOfPatterns.from_key_stream(np.concatenate([s[i] for s in streams]))
+        for i in range(len(values))
+    ]

@@ -3,7 +3,9 @@
 Both steps take a dataset's bags in the CSR layout of ``bop``: arrays
 ``keys`` and ``counts``, series ``i`` owning entries
 ``indptr[i]:indptr[i + 1]``. A key may repeat within a series (after
-``bop.truncate_keys``); both steps add up its counts.
+``bop.truncate_keys``); both steps add up its counts. ``vectorize_all``
+is the one vectorizer: training, cross-validation and prediction, of
+one series or many, all go through it.
 
 Each candidate word key is scored with a 2 x k contingency table: the
 key's per-class occurrence totals against the per-class totals of all
@@ -20,7 +22,6 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, InsufficientClassesError
-from .bop import BagOfPatterns
 
 DEFAULT_CHI2_THRESHOLD = 2.0
 
@@ -99,12 +100,6 @@ def chi_squared_filter(
     stats = chi_squared_stats(observed, observed.sum(axis=1))
     keep = stats >= threshold
     return FeatureDictionary(vocab[keep], stats[keep], int(vocab.size))
-
-
-def vectorize(bag: BagOfPatterns, features: FeatureDictionary) -> sparse.csr_matrix:
-    """Counts of the retained keys as a 1 x m sparse row, the row
-    ``vectorize_all`` gives the bag."""
-    return vectorize_all(bag.keys, bag.counts, np.array([0, len(bag)]), features)
 
 
 def vectorize_all(keys, counts, indptr, features: FeatureDictionary) -> sparse.csr_matrix:

@@ -9,18 +9,17 @@ surviving counts. The word length is chosen by stratified k-fold
 cross-validation over the configured candidates (ties favor the
 smaller), then the whole pipeline is refit on the full training set.
 
-Every bag, for the fit and for prediction, is built by
-``bop.series_keys``, which transforms a stack of equal-length series at
-once and computes only the selected columns of every sliding window
-(``fourier.sliding_ri_columns``). ``predict`` and ``predict_many`` thus
-run the same arithmetic, and a series gets the same bag, scores and
-label alone as in a batch. Only the fit on label-disjoint windows takes
-whole spectra of materialized windows (``fourier.window_ri_matrix``),
-because it ranks every column.
-
-A dataset's bags travel in the CSR layout of ``bop`` (keys, counts and
-row pointers), and ``selection.vectorize_all`` turns them into feature
-columns for training, cross-validation and ``predict_many`` alike.
+There is one path from series to scores. ``_dataset_bags`` hands each
+stack of equal-length series to ``bop.build_bag``, which computes only
+the selected columns of every sliding window
+(``fourier.sliding_ri_columns``) and gives one bag per series; the bags
+travel in the CSR layout of ``bop`` (keys, counts and row pointers), and
+``selection.vectorize_all`` turns them into feature columns for
+training, cross-validation and prediction alike. ``predict`` is
+``predict_many`` of one series, and a series gets the same bag, scores
+and label alone as in any batch. Only the fit on label-disjoint windows
+takes whole spectra of materialized windows
+(``fourier.window_ri_matrix``), because it ranks every column.
 
 The candidates share one symbolic fit per fold: the window models are
 fitted and the bags built once, at the longest candidate word length,
@@ -46,17 +45,13 @@ import numpy as np
 
 from . import fourier
 
-# pack_words and digitize_columns are not called here; they stay imported
-# because the benchmark's tracer (perfbench/spans.py) wraps them by name in
-# this module.
 from .bop import (
     _KIND_SHIFT,
-    BagOfPatterns,
     MAX_ALPHABET,
+    MAX_WINDOW_LENGTH,
     MAX_WORD_LENGTH,
     build_bag,
     pack_words,
-    series_keys,
     truncate_keys,
     window_lengths,
 )
@@ -66,11 +61,15 @@ from .selection import (
     DEFAULT_CHI2_THRESHOLD,
     FeatureDictionary,
     chi_squared_filter,
-    vectorize,
     vectorize_all,
 )
 from .symbolic import SymbolicModel, digitize_columns, fit_symbolic_model
 from .ts import LabeledDataset, TimeSeries
+
+# pack_words, digitize_columns and vectorize (the retired per-series
+# vectorizer, whose work vectorize_all does) are bound here only because the
+# benchmark's tracer (perfbench/spans.py) wraps them by name; nothing calls them.
+vectorize = vectorize_all
 
 MODEL_FORMAT = "weaselts-model"
 MODEL_VERSION = 3
@@ -169,24 +168,15 @@ def _dataset_bags(series_list, models, bigrams):
     """The bags of a dataset, one per series over every fitted length that
     fits it, in CSR layout: ``(keys, counts, indptr)``.
 
-    Equal-length series are transformed as one stack by ``series_keys``,
-    the function ``build_bag`` uses for a single series, so the entries
-    of each series equal the bag ``build_bag`` gives it alone.
+    Equal-length series go to ``build_bag`` as one stack, and its bags
+    are joined in input order. A series gets the same bag alone as in
+    any batch, so ``predict`` is this on a batch of one.
     """
-    buffers: list[list[np.ndarray]] = [[] for _ in series_list]
-    for n, idx, mat in _length_groups(series_list):
-        for w in sorted(models):
-            if w > n:
-                continue
-            keys = series_keys(mat, models[w], bigrams)
-            for row, i in enumerate(idx):
-                buffers[i].append(keys[row])
+    bags = [None] * len(series_list)
+    for _, idx, mat in _length_groups(series_list):
+        for i, bag in zip(idx, build_bag(mat, models, bigrams)):
+            bags[i] = bag
     empty = np.empty(0, dtype=np.int64)
-    bags = [
-        BagOfPatterns.from_key_stream(np.concatenate(b) if b else empty)
-        for b in buffers
-    ]
-    del buffers  # free the raw keys before the bags are joined
     indptr = np.zeros(len(bags) + 1, dtype=np.int64)
     np.cumsum([len(b) for b in bags], out=indptr[1:])
     keys = np.concatenate([empty] + [b.keys for b in bags])
@@ -252,8 +242,8 @@ class WeaselModel:
     def predict_scores(self, ts: TimeSeries):
         """Per-class scores for one series, in ``classes`` order."""
         self._check_length(ts)
-        bag = build_bag(ts, self.window_models, self.config.bigrams)
-        return decision_scores(self.linear, vectorize(bag, self.features))[0]
+        bags = _dataset_bags([ts], self.window_models, self.config.bigrams)
+        return _predict_batch(bags, self.features, self.linear)[1][0]
 
     def predict(self, ts: TimeSeries) -> str:
         scores = self.predict_scores(ts)
@@ -386,8 +376,9 @@ def save_model(model: WeaselModel, path) -> None:
 def deserialize_model(text: str) -> WeaselModel:
     """Rebuild a model from ``serialize_model`` text; a document that is
     not JSON, not a model document of this version, lacks a field, holds
-    a config value of the wrong type, arrays that do not fit together, or
-    a weight or score that is not finite raises ``ConfigError``."""
+    a config value of the wrong type, window lengths or arrays that do
+    not fit together, or a weight or score that is not finite raises
+    ``ConfigError``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -398,6 +389,8 @@ def deserialize_model(text: str) -> WeaselModel:
         raise ConfigError(f"unsupported model version {doc.get('version')!r}")
     try:
         return _model_from_document(doc)
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"model document lacks the field {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -427,6 +420,10 @@ def _model_from_document(doc: dict) -> WeaselModel:
     word_length = int(doc["word_length"])
     entries = doc["window_models"]
     ws = [int(e["w"]) for e in entries]
+    top = min(MAX_WINDOW_LENGTH, cfg.w_max or MAX_WINDOW_LENGTH)
+    if ws[:1] != [cfg.w_min] or np.any(np.diff(ws) <= 0) or ws[-1] > top:
+        raise ConfigError(f"window model lengths must strictly increase from "
+                          f"w_min {cfg.w_min} to at most {top}")
     columns = np.asarray([e["columns"] for e in entries], dtype=np.int64)
     bounds = np.asarray([e["boundaries"] for e in entries], dtype=np.float64)
     in_spectrum = (columns >= 0) & (columns < 2 * (np.asarray(ws)[:, None] // 2 + 1))
@@ -441,7 +438,7 @@ def _model_from_document(doc: dict) -> WeaselModel:
     keys = np.asarray(doc["features"]["keys"], dtype=np.int64)
     chi2 = np.asarray(doc["features"]["chi2"], dtype=np.float64)
     if keys.ndim != 1 or chi2.shape != keys.shape:
-        raise ConfigError(f"{keys.shape} feature keys but {chi2.shape} scores")
+        raise ConfigError(f"feature keys shaped {keys.shape} but scores {chi2.shape}")
     if not np.isfinite(chi2).all():
         raise ConfigError("feature scores are not all finite")
     if not cfg.bigrams and np.any(keys & (np.int64(1) << _KIND_SHIFT)):

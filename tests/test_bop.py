@@ -6,7 +6,6 @@ import pytest
 from weaselts import (
     BagOfPatterns,
     ConfigError,
-    TimeSeries,
     bigram_keys,
     build_bag,
     fit_symbolic_model,
@@ -192,32 +191,44 @@ def test_series_keys_of_a_stack_equal_per_series_keys():
 def test_build_bag_totals_across_lengths():
     models = {8: fitted_model(8), 9: fitted_model(9, seed=45)}
     rng = np.random.default_rng(46)
-    ts = TimeSeries(rng.standard_normal(20))
-    bag = build_bag(ts, models)
-    # per length: (n - w + 1) unigrams and max(0, n - 2w + 1) bigrams
-    assert bag.counts.sum() == (13 + 5) + (12 + 3)
-    uni_only = build_bag(ts, models, bigrams=False)
-    assert uni_only.counts.sum() == 13 + 12
+    stack = rng.standard_normal((3, 20))
+    for bag in build_bag(stack, models):
+        # per length: (n - w + 1) unigrams and max(0, n - 2w + 1) bigrams
+        assert bag.counts.sum() == (13 + 5) + (12 + 3)
+    for bag in build_bag(stack, models, bigrams=False):
+        assert bag.counts.sum() == 13 + 12
 
 
 def test_build_bag_default_skips_lengths_past_series():
     models = {8: fitted_model(8), 16: fitted_model(16, seed=47)}
     rng = np.random.default_rng(48)
-    ts = TimeSeries(rng.standard_normal(12))
-    bag = build_bag(ts, models)
+    [bag] = build_bag(rng.standard_normal((1, 12)), models)
     assert set((bag.keys >> 33).tolist()) == {8}
 
 
-def test_build_bag_validation():
-    models = {8: fitted_model(8)}
-    with pytest.raises(ConfigError):
-        build_bag(TimeSeries(np.arange(4, dtype=np.float64)), models)
+def test_build_bag_of_one_row_equals_that_row_of_a_stack():
+    models = {8: fitted_model(8), 10: fitted_model(10, seed=49), 16: fitted_model(16, seed=55)}
+    rng = np.random.default_rng(56)
+    stack = rng.standard_normal((6, 40)) + rng.uniform(-1e3, 1e3, (6, 1))
+    for bigrams in (True, False):
+        bags = build_bag(stack, models, bigrams)
+        assert len(bags) == 6
+        for i, bag in enumerate(bags):
+            [alone] = build_bag(stack[i:i + 1], models, bigrams)
+            assert alone.keys.tobytes() == bag.keys.tobytes()
+            assert alone.counts.tobytes() == bag.counts.tobytes()
+            # and the bag counts exactly the keys series_keys gives the row
+            expect = Counter(
+                int(k) for w in sorted(models) for k in series_keys(stack[i], models[w], bigrams)
+            )
+            assert dict(zip(bag.keys.tolist(), bag.counts.tolist())) == expect
+            assert bag.keys.tolist() == sorted(expect)
 
 
 def test_build_bag_deterministic():
     models = {8: fitted_model(8), 10: fitted_model(10, seed=50)}
     rng = np.random.default_rng(51)
-    ts = TimeSeries(rng.standard_normal(40))
-    a, b = build_bag(ts, models), build_bag(ts, models)
-    assert a.keys.tobytes() == b.keys.tobytes()
-    assert a.counts.tobytes() == b.counts.tobytes()
+    stack = rng.standard_normal((2, 40))
+    for a, b in zip(build_bag(stack, models), build_bag(stack, models)):
+        assert a.keys.tobytes() == b.keys.tobytes()
+        assert a.counts.tobytes() == b.counts.tobytes()

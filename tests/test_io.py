@@ -416,12 +416,19 @@ def _each_window(doc, change):
         change(entry)
 
 
+def _add_window(doc, w):
+    entry = copy.deepcopy(doc["window_models"][-1])
+    entry["w"] = w
+    doc["window_models"].append(entry)
+
+
 def _swap_first_keys(doc):
     keys = doc["features"]["keys"]
     keys[0], keys[1] = keys[1], keys[0]
 
 
-COLUMNS = "4 in-spectrum columns each"
+COLUMNS = "window models need 4 in-spectrum columns each"
+LENGTHS = "window model lengths must strictly increase from w_min 8 to at most"
 MALFORMED = "malformed model document"
 TYPE = "model config fields of the wrong type"
 
@@ -463,21 +470,28 @@ TYPE = "model config fields of the wrong type"
     pytest.param(lambda d: _first_window(d)["columns"].pop(), MALFORMED,
                  id="columns-ragged"),
     pytest.param(lambda d: _each_window(d, lambda e: e["boundaries"].pop()),
-                 "boundaries shaped (3, 3)", id="boundaries-short"),
+                 "window model boundaries shaped (3, 3)", id="boundaries-short"),
     pytest.param(lambda d: _first_window(d)["boundaries"][0].reverse(),
-                 "do not strictly increase", id="boundaries-unsorted"),
-    pytest.param(lambda d: d["features"]["chi2"].pop(), "feature keys but",
+                 "window model boundaries do not strictly increase",
+                 id="boundaries-unsorted"),
+    pytest.param(lambda d: d["window_models"].insert(1, copy.deepcopy(_first_window(d))),
+                 LENGTHS, id="window-length-repeated"),
+    pytest.param(lambda d: d["window_models"].pop(0), LENGTHS, id="window-w-min-missing"),
+    pytest.param(lambda d: _add_window(d, 5000), LENGTHS, id="window-length-unpackable"),
+    pytest.param(lambda d: d["config"].update(w_max=40), LENGTHS,
+                 id="window-length-above-w-max"),
+    pytest.param(lambda d: d["features"]["chi2"].pop(), "feature keys shaped",
                  id="chi2-short"),
     pytest.param(lambda d: d["features"]["keys"].__setitem__(1, d["features"]["keys"][0]),
                  "feature keys do not strictly increase", id="key-repeated"),
     pytest.param(_swap_first_keys, "feature keys do not strictly increase",
                  id="keys-descending"),
     pytest.param(lambda d: d["linear"]["weights"][0].__setitem__(0, float("nan")),
-                 "not all finite", id="weight-nan"),
+                 "weights or bias weights are not all finite", id="weight-nan"),
     pytest.param(lambda d: d["linear"]["bias_weights"].__setitem__(1, float("inf")),
-                 "not all finite", id="bias-weight-infinity"),
+                 "weights or bias weights are not all finite", id="bias-weight-infinity"),
     pytest.param(lambda d: d["features"]["chi2"].__setitem__(0, float("nan")),
-                 "not all finite", id="chi2-nan"),
+                 "feature scores are not all finite", id="chi2-nan"),
 ])
 def test_cli_rejects_inconsistent_model_files(
     model_document, tmp_path, capsys, corrupt, message
@@ -487,5 +501,5 @@ def test_cli_rejects_inconsistent_model_files(
     corrupt(doc)
     assert predict_with(doc, tmp_path, test) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.err.startswith(f"error: {message}")
     assert captured.out == ""

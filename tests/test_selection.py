@@ -14,7 +14,6 @@ from weaselts import (
     chi_squared_stats,
     pack_words,
     unigram_keys,
-    vectorize,
     vectorize_all,
 )
 from weaselts.bop import truncate_keys
@@ -149,7 +148,7 @@ def test_feature_dictionary_empty():
     assert len(features) == 0
     mask, _ = features.lookup(np.array([1, 2, 5]))
     assert not mask.any()
-    row = vectorize(BagOfPatterns(np.array([1]), np.array([3])), features)
+    row = vectorize_all(np.array([1]), np.array([3]), [0, 1], features)
     assert row.shape == (1, 0)
 
 
@@ -162,7 +161,8 @@ def test_vectorize_matches_column_lookup():
         for key, count in zip(bag.keys.tolist(), bag.counts.tolist()):
             if key in column_of:
                 expect[column_of[key]] = count
-        np.testing.assert_array_equal(vectorize(bag, features).toarray()[0], expect)
+        row = vectorize_all(bag.keys, bag.counts, [0, len(bag)], features)
+        np.testing.assert_array_equal(row.toarray()[0], expect)
 
 
 def test_vectorize_all_equals_per_bag_rows_exactly():
@@ -194,7 +194,8 @@ def test_vectorize_all_stacks_single_rows():
     stacked = vectorize_all(*bags, features).toarray()
     assert stacked.shape == (10, len(features))
     for i, bag in enumerate(_rows(bags)):
-        np.testing.assert_array_equal(stacked[i], vectorize(bag, features).toarray()[0])
+        row = vectorize_all(bag.keys, bag.counts, [0, len(bag)], features)
+        np.testing.assert_array_equal(stacked[i], row.toarray()[0])
 
 
 def test_truncated_keys_add_up_within_a_row():

@@ -4,8 +4,9 @@
 and raises ``KeyError`` when one is gone, so a rename that would break a
 traced benchmark run fails here first. The fit has two candidate word
 lengths, so the cross-validation loop runs under the tracer too, and the
-per-layer metrics must find the spans and counts they read. The test
-only reads ``perfbench/``.
+per-layer metrics must find the spans and counts they read, and every
+bag must come from the one bag builder. The test only reads
+``perfbench/``.
 """
 
 from pathlib import Path
@@ -45,6 +46,19 @@ def test_span_hooks_install_trace_and_restore(monkeypatch):
         "linear.train_linear",
     } <= names
     assert tracer.counters["linear.solves"] >= 1
+    # every bag is built by bop.build_bag under _dataset_bags, in the fit
+    # and in both predictions
+    records = tracer.spans
+    top = set()
+    for name, _, _, parent, _ in records:
+        if name == "bop.build_bag":
+            assert records[parent][0] == "weasel._dataset_bags"
+            while records[parent][3] is not None:
+                parent = records[parent][3]
+            top.add(records[parent][0])
+    assert top == {
+        "weasel.fit_weasel", "weasel.WeaselModel.predict", "weasel.WeaselModel.predict_many"
+    }
     assert scipy.optimize.minimize is minimize
     assert weaselts.weasel.fit_weasel is fit_weasel
     metrics = spans.layer_metrics(tracer, 1.0, 0.0)

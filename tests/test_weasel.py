@@ -21,7 +21,7 @@ from weaselts import (
 )
 from oracles import bag_layout
 from weaselts import cli, synthetic
-from weaselts.bop import build_bag, truncate_keys
+from weaselts.bop import truncate_keys
 from weaselts.linear import C, DEFAULT_TOLERANCE, loss_gradient
 from weaselts.selection import vectorize_all
 from weaselts.weasel import _dataset_bags, _fit_window_models, _predict_batch
@@ -306,33 +306,36 @@ def assert_same_layout(got, want):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
-def assert_paths_agree(model, series):
-    """Batched bags, scores and labels equal the per-series ones, bit for bit."""
+def assert_batching_invariant(model, series):
+    """Each series gets alone the bag, scores and label it gets in a
+    ragged batch, bit for bit."""
     cfg = model.config
-    bags = _dataset_bags(series, model.window_models, cfg.bigrams)
-    singles = [build_bag(ts, model.window_models, cfg.bigrams) for ts in series]
-    assert_same_layout(bags, (
-        np.concatenate([b.keys for b in singles]),
-        np.concatenate([b.counts for b in singles]),
-        np.cumsum([0] + [len(b) for b in singles]),
-    ))
+    # the series interleaved with longer copies of themselves
+    batch = [x for ts in series
+             for x in (ts, TimeSeries(np.concatenate([ts.values, ts.values[:7]])))]
+    keys, counts, indptr = bags = _dataset_bags(batch, model.window_models, cfg.bigrams)
     _, scores = _predict_batch(bags, model.features, model.linear)
-    for ts, row in zip(series, scores):
-        assert model.predict_scores(ts).tobytes() == row.tobytes()
-    assert model.predict_many(series) == [model.predict(ts) for ts in series]
+    for i, ts in enumerate(batch):
+        a, b = indptr[i], indptr[i + 1]
+        assert_same_layout(
+            _dataset_bags([ts], model.window_models, cfg.bigrams),
+            (keys[a:b], counts[a:b], np.array([0, b - a])),
+        )
+        assert model.predict_scores(ts).tobytes() == scores[i].tobytes()
+    assert model.predict_many(batch) == [model.predict(ts) for ts in batch]
 
 
 def test_predict_many_matches_single_predictions(masked_fit):
     _, test, model = masked_fit
-    assert_paths_agree(model, test.series)
+    assert_batching_invariant(model, test.series)
     scores = model.predict_scores(test.series[0])
     assert scores.shape == (3,)
     assert model.classes[int(np.argmax(scores))] == model.predict(test.series[0])
-    # default fits on the benchmark's fit_cv data, on the seeds where the
-    # two paths used to disagree
+    # default fits on the benchmark's fit_cv data, on the seeds where
+    # per-series and batched prediction once disagreed
     for seed in (104, 105, 108, 110):
         train, test = synthetic.shift_invariance(20, 100, length=48, seed=seed)
-        assert_paths_agree(fit_weasel(train), test.series)
+        assert_batching_invariant(fit_weasel(train), test.series)
 
 
 def test_predictions_ignore_offset_and_scale_of_long_series():
