@@ -37,6 +37,7 @@ data twice yields byte-identical serialized models.
 
 from __future__ import annotations
 
+import binascii
 import json
 import warnings
 from dataclasses import dataclass, fields
@@ -50,6 +51,7 @@ from .bop import (
     MAX_ALPHABET,
     MAX_WINDOW_LENGTH,
     MAX_WORD_LENGTH,
+    MIN_WINDOW_LENGTH,
     build_bag,
     pack_words,
     truncate_keys,
@@ -72,7 +74,7 @@ from .ts import LabeledDataset, TimeSeries
 vectorize = vectorize_all
 
 MODEL_FORMAT = "weaselts-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,8 @@ class WeaselConfig:
             raise ConfigError("chi-squared threshold must be nonnegative")
         if self.folds < 1:
             raise ConfigError("fold count must be >= 1")
+        if self.w_min < MIN_WINDOW_LENGTH:
+            raise ConfigError(f"minimum window length is {MIN_WINDOW_LENGTH}, got {self.w_min}")
         if self.w_max is not None and self.w_max < self.w_min:
             raise ConfigError(f"w_max {self.w_max} below w_min {self.w_min}")
         available = (
@@ -329,6 +333,22 @@ def fit_weasel(train: LabeledDataset, config: WeaselConfig | None = None) -> Wea
 # serialization
 
 
+def _hex(values, dtype: str) -> str:
+    """Lowercase hex of an array's bytes as ``dtype``, in row-major order."""
+    return np.ascontiguousarray(values, dtype=dtype).tobytes().hex()
+
+
+def _unhex(text, dtype: str) -> np.ndarray:
+    """The read-only array of ``dtype`` whose bytes ``text`` spells in hex;
+    odd-length or non-hex text raises ``binascii.Error``, a ``ValueError``."""
+    if type(text) is not str:
+        raise ConfigError(f"per-feature arrays must be hex strings, not {type(text).__name__}")
+    raw = binascii.unhexlify(text)
+    if len(raw) % 8:
+        raise ConfigError(f"a per-feature array holds {len(raw)} bytes, not a multiple of 8")
+    return np.frombuffer(raw, dtype=dtype)
+
+
 def _model_document(model: WeaselModel) -> dict:
     cfg = model.config
     return {
@@ -349,12 +369,12 @@ def _model_document(model: WeaselModel) -> dict:
             for w, m in sorted(model.window_models.items())
         ],
         "features": {
-            "keys": [int(k) for k in model.features.keys],
-            "chi2": [float(v) for v in model.features.chi2],
+            "keys": _hex(model.features.keys, "<i8"),
+            "chi2": _hex(model.features.chi2, "<f8"),
         },
         "linear": {
             "classes": list(model.linear.classes),
-            "weights": [[float(v) for v in row] for row in model.linear.weights],
+            "weights": _hex(model.linear.weights, "<f8"),
             "bias_weights": [float(v) for v in model.linear.bias_weights],
             "bias": model.linear.bias,
         },
@@ -376,8 +396,9 @@ def save_model(model: WeaselModel, path) -> None:
 def deserialize_model(text: str) -> WeaselModel:
     """Rebuild a model from ``serialize_model`` text; a document that is
     not JSON, not a model document of this version, lacks a field, holds
-    a config value of the wrong type, window lengths or arrays that do
-    not fit together, or a weight or score that is not finite raises
+    a config value or integer field of the wrong type, a per-feature
+    array that is not hex of 8-byte values, window lengths or arrays that
+    do not fit together, or a weight or score that is not finite raises
     ``ConfigError``."""
     try:
         doc = json.loads(text)
@@ -405,8 +426,14 @@ _CONFIG_TYPES = {
 }
 
 
+def _integer(value, name: str) -> int:
+    if type(value) is not int:
+        raise ConfigError(f"model field {name} is not an integer: {value!r}")
+    return value
+
+
 def _model_from_document(doc: dict) -> WeaselModel:
-    # Whole-array checks only, so that a large model loads in parsing time.
+    # Whole-array checks only, so that a large model loads in decoding time.
     c = doc["config"]
     names = [f.name for f in fields(WeaselConfig)]
     if not isinstance(c, dict) or not set(c) <= set(names):
@@ -417,9 +444,9 @@ def _model_from_document(doc: dict) -> WeaselModel:
         raise ConfigError(f"model config fields of the wrong type: {mistyped or ['word_lengths']}")
     cfg = WeaselConfig(**{**values, "word_lengths": tuple(values["word_lengths"])})
     cfg.validate()
-    word_length = int(doc["word_length"])
+    word_length = _integer(doc["word_length"], "word_length")
     entries = doc["window_models"]
-    ws = [int(e["w"]) for e in entries]
+    ws = [_integer(e["w"], "w") for e in entries]
     top = min(MAX_WINDOW_LENGTH, cfg.w_max or MAX_WINDOW_LENGTH)
     if ws[:1] != [cfg.w_min] or np.any(np.diff(ws) <= 0) or ws[-1] > top:
         raise ConfigError(f"window model lengths must strictly increase from "
@@ -435,26 +462,28 @@ def _model_from_document(doc: dict) -> WeaselModel:
         raise ConfigError("window model boundaries do not strictly increase")
     models = {w: SymbolicModel(w, word_length, cfg.alphabet, c, b)
               for w, c, b in zip(ws, columns, bounds)}
-    keys = np.asarray(doc["features"]["keys"], dtype=np.int64)
-    chi2 = np.asarray(doc["features"]["chi2"], dtype=np.float64)
-    if keys.ndim != 1 or chi2.shape != keys.shape:
+    keys = _unhex(doc["features"]["keys"], "<i8")
+    chi2 = _unhex(doc["features"]["chi2"], "<f8")
+    if chi2.shape != keys.shape:
         raise ConfigError(f"feature keys shaped {keys.shape} but scores {chi2.shape}")
     if not np.isfinite(chi2).all():
         raise ConfigError("feature scores are not all finite")
     if not cfg.bigrams and np.any(keys & (np.int64(1) << _KIND_SHIFT)):
         raise ConfigError("bigram feature keys in a model without bigrams")
-    features = FeatureDictionary(keys, chi2, int(doc["features_pre"]))
+    features_pre = _integer(doc["features_pre"], "features_pre")
+    features = FeatureDictionary(keys, chi2, features_pre)
     classes = [str(x) for x in doc["linear"]["classes"]]
-    weights = np.asarray(doc["linear"]["weights"], dtype=np.float64)
     bias_weights = np.asarray(doc["linear"]["bias_weights"], dtype=np.float64)
     k, d = len(classes), len(features)
+    # Rows of d weights each; a size that is no multiple of d cannot reshape.
+    weights = _unhex(doc["linear"]["weights"], "<f8").reshape((-1, d) if d else (k, 0))
     if weights.shape != (k, d) or bias_weights.shape != (k,):
         raise ConfigError(f"weights shaped {weights.shape} and {bias_weights.shape} "
                           f"do not fit {k} classes and {d} features")
     if not (np.isfinite(weights).all() and np.isfinite(bias_weights).all()):
         raise ConfigError("weights or bias weights are not all finite")
     lin = LinearModel(classes, weights, bias_weights, float(doc["linear"]["bias"]))
-    return WeaselModel(cfg, word_length, models, features, lin, int(doc["features_pre"]))
+    return WeaselModel(cfg, word_length, models, features, lin, features_pre)
 
 
 def load_model(path) -> WeaselModel:

@@ -398,13 +398,15 @@ def test_cli_rejects_version_1_model_files(model_document, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: unsupported model version 1")
     assert captured.out == ""
-    # version 2 numbered feature columns by score, not by key
-    old = copy.deepcopy(doc)
-    old["version"] = 2
-    assert predict_with(old, tmp_path, test) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: unsupported model version 2")
-    assert captured.out == ""
+    # version 2 numbered feature columns by score, not by key; version 3
+    # wrote the per-feature arrays as JSON lists of numbers
+    for version in (2, 3):
+        old = copy.deepcopy(doc)
+        old["version"] = version
+        assert predict_with(old, tmp_path, test) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: unsupported model version {version}")
+        assert captured.out == ""
 
 
 def _first_window(doc):
@@ -422,9 +424,35 @@ def _add_window(doc, w):
     doc["window_models"].append(entry)
 
 
-def _swap_first_keys(doc):
-    keys = doc["features"]["keys"]
-    keys[0], keys[1] = keys[1], keys[0]
+def _prepend_window(doc, w):
+    entry = copy.deepcopy(doc["window_models"][0])
+    entry.update(w=w, columns=list(range(len(entry["columns"]))))
+    doc["window_models"].insert(0, entry)
+
+
+HEX_DTYPES = {"keys": "<i8", "chi2": "<f8", "weights": "<f8"}
+
+
+def _decode(doc, section, field):
+    return np.frombuffer(bytes.fromhex(doc[section][field]), HEX_DTYPES[field])
+
+
+def _edit_hex(section, field, edit):
+    """A corruption that decodes a hex-encoded array, lets ``edit`` change
+    a writable copy (weights shaped classes x features) or return a new
+    array, and encodes the result back into the document."""
+    def corrupt(doc):
+        values = _decode(doc, section, field).copy()
+        if field == "weights":
+            values = values.reshape(len(doc["linear"]["classes"]), -1)
+        edited = edit(values)
+        edited = values if edited is None else edited
+        doc[section][field] = edited.astype(HEX_DTYPES[field]).tobytes().hex()
+    return corrupt
+
+
+def _swap_first(values):
+    values[[0, 1]] = values[[1, 0]]
 
 
 COLUMNS = "window models need 4 in-spectrum columns each"
@@ -455,11 +483,19 @@ TYPE = "model config fields of the wrong type"
                  id="chi-threshold-bool"),
     pytest.param(lambda d: d["config"].update(bigrams=False),
                  "bigram feature keys in a model without bigrams", id="bigram-keys-unigram-model"),
-    pytest.param(lambda d: d["linear"].update(weights=d["linear"]["weights"][:1]),
-                 "weights shaped", id="weights-one-row"),
+    pytest.param(lambda d: (d["config"].update(w_min=4), _prepend_window(d, 4)),
+                 "minimum window length is 8, got 4", id="w-min-below-8"),
+    pytest.param(lambda d: d.update(word_length=4.5), "model field word_length is not an integer",
+                 id="word-length-field-float"),
+    pytest.param(lambda d: d.update(features_pre="12"),
+                 "model field features_pre is not an integer", id="features-pre-string"),
+    pytest.param(lambda d: _first_window(d).update(w=8.75), "model field w is not an integer",
+                 id="window-w-float"),
+    pytest.param(_edit_hex("linear", "weights", lambda w: w[:1]), "weights shaped",
+                 id="weights-one-row"),
     pytest.param(lambda d: d["linear"]["bias_weights"].pop(), "weights shaped",
                  id="bias-weights-short"),
-    pytest.param(lambda d: d["linear"]["weights"][0].pop(), MALFORMED,
+    pytest.param(_edit_hex("linear", "weights", lambda w: w.ravel()[:-1]), MALFORMED,
                  id="weights-ragged"),
     pytest.param(lambda d: _each_window(d, lambda e: e["columns"].pop()), COLUMNS,
                  id="columns-short"),
@@ -480,18 +516,26 @@ TYPE = "model config fields of the wrong type"
     pytest.param(lambda d: _add_window(d, 5000), LENGTHS, id="window-length-unpackable"),
     pytest.param(lambda d: d["config"].update(w_max=40), LENGTHS,
                  id="window-length-above-w-max"),
-    pytest.param(lambda d: d["features"]["chi2"].pop(), "feature keys shaped",
+    pytest.param(_edit_hex("features", "chi2", lambda c: c[:-1]), "feature keys shaped",
                  id="chi2-short"),
-    pytest.param(lambda d: d["features"]["keys"].__setitem__(1, d["features"]["keys"][0]),
+    pytest.param(_edit_hex("features", "keys", lambda k: k.__setitem__(1, k[0])),
                  "feature keys do not strictly increase", id="key-repeated"),
-    pytest.param(_swap_first_keys, "feature keys do not strictly increase",
-                 id="keys-descending"),
-    pytest.param(lambda d: d["linear"]["weights"][0].__setitem__(0, float("nan")),
+    pytest.param(_edit_hex("features", "keys", _swap_first),
+                 "feature keys do not strictly increase", id="keys-descending"),
+    pytest.param(_edit_hex("linear", "weights", lambda w: w.__setitem__((0, 0), np.nan)),
                  "weights or bias weights are not all finite", id="weight-nan"),
     pytest.param(lambda d: d["linear"]["bias_weights"].__setitem__(1, float("inf")),
                  "weights or bias weights are not all finite", id="bias-weight-infinity"),
-    pytest.param(lambda d: d["features"]["chi2"].__setitem__(0, float("nan")),
+    pytest.param(_edit_hex("features", "chi2", lambda c: c.__setitem__(0, np.nan)),
                  "feature scores are not all finite", id="chi2-nan"),
+    pytest.param(lambda d: d["features"].update(keys="zz" + d["features"]["keys"][2:]),
+                 MALFORMED, id="keys-non-hex"),
+    pytest.param(lambda d: d["features"].update(chi2=d["features"]["chi2"][:-1]),
+                 MALFORMED, id="chi2-odd-hex-length"),
+    pytest.param(lambda d: d["linear"].update(weights=d["linear"]["weights"][:-2]),
+                 "a per-feature array holds", id="weights-partial-value"),
+    pytest.param(lambda d: d["features"].update(keys=_decode(d, "features", "keys").tolist()),
+                 "per-feature arrays must be hex strings", id="keys-json-list"),
 ])
 def test_cli_rejects_inconsistent_model_files(
     model_document, tmp_path, capsys, corrupt, message

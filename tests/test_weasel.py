@@ -99,6 +99,9 @@ def test_config_validation():
     # a tiny window cannot supply 8 coefficient values
     with pytest.raises(ConfigError):
         WeaselConfig(word_lengths=(8,), w_min=4).validate()
+    # nor can a fit use windows shorter than 8, whatever the word length
+    with pytest.raises(ConfigError, match="minimum window length is 8, got 4"):
+        WeaselConfig(word_lengths=(4,), w_min=4).validate()
     WeaselConfig().validate()
 
 
@@ -383,8 +386,13 @@ def test_serialized_document_shape(masked_fit):
     _, _, model = masked_fit
     doc = json.loads(serialize_model(model))
     assert doc["format"] == "weaselts-model"
-    assert doc["version"] == 3
+    assert doc["version"] == 4
     assert set(doc) >= {"config", "word_length", "window_models", "features", "linear"}
+    # the per-feature arrays are hex strings of 8-byte values
+    d, k = model.features_post, len(model.classes)
+    assert len(doc["features"]["keys"]) == len(doc["features"]["chi2"]) == 16 * d
+    assert len(doc["linear"]["weights"]) == 16 * k * d
+    assert len(doc["linear"]["bias_weights"]) == k
     assert serialize_model(model).endswith("\n")
 
 
@@ -393,10 +401,37 @@ def test_round_trip_preserves_predictions(masked_fit, tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
+    pairs = [
+        (loaded.features.keys, model.features.keys),
+        (loaded.features.chi2, model.features.chi2),
+        (loaded.linear.weights, model.linear.weights),
+        (loaded.linear.bias_weights, model.linear.bias_weights),
+    ]
+    for got, fitted in pairs:
+        assert got.dtype == fitted.dtype and np.array_equal(got, fitted)
+    # the decoded arrays are read-only views, and prediction only reads them
+    assert not loaded.linear.weights.flags.writeable
+    fitted_scores, loaded_scores = (
+        _predict_batch(_dataset_bags(test.series, m.window_models, m.config.bigrams),
+                       m.features, m.linear)[1]
+        for m in (model, loaded)
+    )
+    assert loaded_scores.tobytes() == fitted_scores.tobytes()
     assert loaded.predict_many(test) == model.predict_many(test)
     assert serialize_model(loaded) == serialize_model(model)
     assert loaded.word_length == model.word_length
     assert loaded.classes == model.classes
+
+
+def test_round_trip_of_a_model_that_keeps_no_feature():
+    train, test = synthetic.shift_invariance(10, 2, length=48, seed=1)
+    model = fit_weasel(train, WeaselConfig(word_lengths=(4,), chi_threshold=1e9))
+    assert model.linear.weights.shape == (2, 0)
+    text = serialize_model(model)
+    loaded = deserialize_model(text)
+    assert loaded.linear.weights.shape == (2, 0)
+    assert serialize_model(loaded) == text
+    assert loaded.predict_many(test) == model.predict_many(test)
 
 
 def test_deserialize_rejects_foreign_documents():
