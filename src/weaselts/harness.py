@@ -8,7 +8,7 @@ failure is logged and the remaining datasets still run.
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -24,17 +24,6 @@ __all__ = [
     "BenchmarkReport",
     "run_benchmark",
 ]
-
-REPORT_COLUMNS = (
-    "dataset",
-    "variant",
-    "accuracy",
-    "train_ms",
-    "predict_ms_mean",
-    "chosen_l",
-    "features_pre",
-    "features_post",
-)
 
 
 def nn_euclidean(train: LabeledDataset, query: TimeSeries) -> str:
@@ -57,6 +46,8 @@ def nn_accuracy(train: LabeledDataset, test: LabeledDataset) -> float:
 
 @dataclass
 class BenchRow:
+    """One report row; the field order is the CSV column order."""
+
     dataset: str
     variant: str
     accuracy: float
@@ -80,13 +71,8 @@ class BenchmarkReport:
     def emit(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for r in self.rows:
-            writer.writerow([
-                r.dataset, r.variant, repr(r.accuracy), repr(r.train_ms),
-                repr(r.predict_ms_mean), r.chosen_l, r.features_pre,
-                r.features_post,
-            ])
+        writer.writerow(f.name for f in fields(BenchRow))
+        writer.writerows(astuple(r) for r in self.rows)  # csv writes floats with repr
         return buf.getvalue()
 
     def save(self, path) -> None:
@@ -138,13 +124,10 @@ def run_benchmark(dataset_dirs, config=None, baseline_ed=False,
                                    _find_split(directory, "TEST"))
             if baseline_ed:
                 t0 = time.perf_counter()
-                hits = 0
-                for ts, lab in test.samples:
-                    hits += nn_euclidean(train, ts) == lab
+                acc = nn_accuracy(train, test)
                 spent = (time.perf_counter() - t0) * 1000.0
-                n = len(test.labels)
-                rows.append(BenchRow(name, "1nn-ed", hits / n, 0.0,
-                                     spent / n, 0, 0, 0))
+                rows.append(BenchRow(name, "1nn-ed", acc, 0.0,
+                                     spent / len(test.labels), 0, 0, 0))
             else:
                 model, acc, train_ms, pred_ms = _timed_fit_eval(train, test, cfg)
                 rows.append(BenchRow(name, variant_name(cfg), acc, train_ms,

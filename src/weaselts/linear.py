@@ -37,12 +37,12 @@ DEFAULT_TOLERANCE = 0.1
 
 @dataclass(eq=False)
 class LinearModel:
-    """One weight row and one bias weight per class, in class order."""
+    """One weight row and one bias weight per class, in class order; the
+    bias feature is the constant ``BIAS``."""
 
     classes: list
     weights: np.ndarray  # (k, d)
     bias_weights: np.ndarray  # (k,)
-    bias: float
 
 
 def loss_gradient(w: np.ndarray, xa, y: np.ndarray, c: float):
@@ -104,12 +104,12 @@ def train_linear(vectors, labels, tolerance: float = DEFAULT_TOLERANCE) -> Linea
     if len(classes) == 2:
         weights[1] = -weights[0]
         bias_weights[1] = -bias_weights[0]
-    return LinearModel(classes, weights, bias_weights, BIAS)
+    return LinearModel(classes, weights, bias_weights)
 
 
 def decision_scores(model: LinearModel, vectors) -> np.ndarray:
-    """Per-class scores w'x + b * bias, shape (rows, k)."""
+    """Per-class scores w'x + b * BIAS, shape (rows, k)."""
     x = sparse.csr_matrix(vectors, dtype=np.float64)  # no copy of a float64 CSR
     if x.shape[1] != model.weights.shape[1]:
         raise ShapeError(f"expected {model.weights.shape[1]} feature columns, got {x.shape[1]}")
-    return x @ model.weights.T + model.bias * model.bias_weights
+    return x @ model.weights.T + BIAS * model.bias_weights

@@ -131,9 +131,8 @@ def leading_columns(word_length: int, m: int) -> np.ndarray:
 def fit_bins(values, labels, alphabet_size: int) -> np.ndarray:
     """Learn ``alphabet_size - 1`` strictly increasing bin boundaries.
 
-    ``values`` is one column of ``m`` values, or an ``(m, L)`` block whose
-    ``L`` columns are binned independently against the same ``m``
-    labels; the result has shape ``(alphabet_size - 1,)`` or
+    ``values`` is an ``(m, L)`` block whose ``L`` columns are binned
+    independently against the same ``m`` labels; the result has shape
     ``(L, alphabet_size - 1)``. All columns are learned in one pass.
 
     Starting from a column's whole sorted value range, the partition
@@ -150,21 +149,18 @@ def fit_bins(values, labels, alphabet_size: int) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
     if (
-        values.ndim not in (1, 2)
+        values.ndim != 2
         or labels.ndim != 1
         or values.shape[0] != labels.size
         or values.size == 0
     ):
-        raise ShapeError(
-            "fit_bins expects nonempty (m,) or (m, L) values and m parallel labels"
-        )
+        raise ShapeError("fit_bins expects nonempty (m, L) values and m parallel labels")
     if alphabet_size < 2:
         raise ConfigError(f"alphabet size must be >= 2, got {alphabet_size}")
 
-    block = values.reshape(values.shape[0], -1)
-    m, n_cols = block.shape
-    order = np.argsort(block, axis=0, kind="stable")
-    v = np.take_along_axis(block, order, axis=0)
+    m, n_cols = values.shape
+    order = np.argsort(values, axis=0, kind="stable")
+    v = np.take_along_axis(values, order, axis=0)
     _, class_ids = np.unique(labels, return_inverse=True)
     y = class_ids[order]
     k = int(y.max()) + 1
@@ -214,7 +210,7 @@ def fit_bins(values, labels, alphabet_size: int) -> np.ndarray:
     for t in range(alphabet_size - 1):
         pad_from = bounds[:, t - 1] if t else v[-1]
         bounds[:, t] = np.where(t < n_found, bounds[:, t], pad_from + 1.0)
-    return bounds if values.ndim == 2 else bounds[0]
+    return bounds
 
 
 def equi_depth_bins(values, alphabet_size: int) -> np.ndarray:
@@ -240,8 +236,6 @@ class SymbolicModel:
     """Column choice plus per-column bin boundaries for one window length."""
 
     w: int
-    word_length: int
-    alphabet_size: int
     columns: np.ndarray  # (word_length,) interleaved column ids
     boundaries: np.ndarray  # (word_length, alphabet_size - 1)
 
@@ -266,7 +260,7 @@ def fit_symbolic_model(
         bounds = np.array(
             [equi_depth_bins(ri_matrix[:, col], alphabet_size) for col in cols]
         )
-    return SymbolicModel(int(w), int(word_length), int(alphabet_size), cols, bounds)
+    return SymbolicModel(int(w), cols, bounds)
 
 
 def digitize_columns(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:

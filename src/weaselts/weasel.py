@@ -31,8 +31,12 @@ chi-squared filter and ``vectorize_all`` add up the keys that the mask
 makes equal, so the candidates differ only in those two steps and the
 linear solve.
 
-Everything downstream of the seed is deterministic: fitting the same
-data twice yields byte-identical serialized models.
+Everything downstream of the seed is deterministic at a fixed BLAS
+thread count: fitting the same data twice with the same number of BLAS
+threads yields byte-identical serialized models. The solver's dot
+products are summed in an order that depends on that count, so fits at
+one and at two threads can differ in their last bits; ``weaselts
+--single-thread`` pins one thread.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from .ts import LabeledDataset, TimeSeries
 vectorize = vectorize_all
 
 MODEL_FORMAT = "weaselts-model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,9 @@ class WeaselConfig:
                 raise ConfigError(f"word length must be in 1..{MAX_WORD_LENGTH}, got {l}")
         if not 2 <= self.alphabet <= MAX_ALPHABET:
             raise ConfigError(f"alphabet size must be in 2..{MAX_ALPHABET}")
-        if self.chi_threshold < 0:
-            raise ConfigError("chi-squared threshold must be nonnegative")
+        if not 0 <= self.chi_threshold < np.inf:
+            raise ConfigError(f"chi-squared threshold must be finite and nonnegative, "
+                              f"got {self.chi_threshold}")
         if self.folds < 1:
             raise ConfigError("fold count must be >= 1")
         if self.w_min < MIN_WINDOW_LENGTH:
@@ -218,15 +223,22 @@ class WeaselModel:
     """A fully fitted pipeline ready for prediction or serialization."""
 
     config: WeaselConfig
-    word_length: int
     window_models: dict
     features: FeatureDictionary
     linear: LinearModel
-    features_pre: int
 
     @property
     def lengths(self):
         return sorted(self.window_models)
+
+    @property
+    def word_length(self) -> int:
+        """The chosen word length: every window model keeps that many columns."""
+        return len(next(iter(self.window_models.values())).columns)
+
+    @property
+    def features_pre(self) -> int:
+        return self.features.n_candidates
 
     @property
     def classes(self):
@@ -326,7 +338,7 @@ def fit_weasel(train: LabeledDataset, config: WeaselConfig | None = None) -> Wea
     models = _fit_window_models(series, labels, lengths, chosen, cfg)
     bags = _dataset_bags(series, models, cfg.bigrams)
     features, lin = _fit_fixed(bags, labels, cfg)
-    return WeaselModel(cfg, chosen, models, features, lin, features.n_candidates)
+    return WeaselModel(cfg, models, features, lin)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +370,6 @@ def _model_document(model: WeaselModel) -> dict:
             **{f.name: getattr(cfg, f.name) for f in fields(WeaselConfig)},
             "word_lengths": [int(l) for l in cfg.word_lengths],
         },
-        "word_length": model.word_length,
         "features_pre": model.features_pre,
         "window_models": [
             {
@@ -376,7 +387,6 @@ def _model_document(model: WeaselModel) -> dict:
             "classes": list(model.linear.classes),
             "weights": _hex(model.linear.weights, "<f8"),
             "bias_weights": [float(v) for v in model.linear.bias_weights],
-            "bias": model.linear.bias,
         },
     }
 
@@ -398,8 +408,8 @@ def deserialize_model(text: str) -> WeaselModel:
     not JSON, not a model document of this version, lacks a field, holds
     a config value or integer field of the wrong type, a per-feature
     array that is not hex of 8-byte values, window lengths or arrays that
-    do not fit together, or a weight or score that is not finite raises
-    ``ConfigError``."""
+    do not fit together, a class list ``train_linear`` cannot write, or a
+    weight or score that is not finite raises ``ConfigError``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -444,24 +454,25 @@ def _model_from_document(doc: dict) -> WeaselModel:
         raise ConfigError(f"model config fields of the wrong type: {mistyped or ['word_lengths']}")
     cfg = WeaselConfig(**{**values, "word_lengths": tuple(values["word_lengths"])})
     cfg.validate()
-    word_length = _integer(doc["word_length"], "word_length")
     entries = doc["window_models"]
     ws = [_integer(e["w"], "w") for e in entries]
     top = min(MAX_WINDOW_LENGTH, cfg.w_max or MAX_WINDOW_LENGTH)
     if ws[:1] != [cfg.w_min] or np.any(np.diff(ws) <= 0) or ws[-1] > top:
         raise ConfigError(f"window model lengths must strictly increase from "
                           f"w_min {cfg.w_min} to at most {top}")
+    # A ragged block raises ValueError; the width is the chosen word length.
     columns = np.asarray([e["columns"] for e in entries], dtype=np.int64)
     bounds = np.asarray([e["boundaries"] for e in entries], dtype=np.float64)
+    word_length = columns.shape[1] if columns.ndim == 2 else -1
     in_spectrum = (columns >= 0) & (columns < 2 * (np.asarray(ws)[:, None] // 2 + 1))
-    if columns.shape != (len(ws), word_length) or not in_spectrum.all():
-        raise ConfigError(f"window models need {word_length} in-spectrum columns each")
+    if word_length not in cfg.word_lengths or not in_spectrum.all():
+        raise ConfigError(f"window models need in-spectrum columns, as many as one of "
+                          f"the word lengths {list(cfg.word_lengths)}")
     if bounds.shape != (len(ws), word_length, cfg.alphabet - 1):
         raise ConfigError(f"window model boundaries shaped {bounds.shape[1:]}")
     if not (np.isfinite(bounds).all() and (np.diff(bounds) > 0).all()):
         raise ConfigError("window model boundaries do not strictly increase")
-    models = {w: SymbolicModel(w, word_length, cfg.alphabet, c, b)
-              for w, c, b in zip(ws, columns, bounds)}
+    models = {w: SymbolicModel(w, c, b) for w, c, b in zip(ws, columns, bounds)}
     keys = _unhex(doc["features"]["keys"], "<i8")
     chi2 = _unhex(doc["features"]["chi2"], "<f8")
     if chi2.shape != keys.shape:
@@ -472,7 +483,10 @@ def _model_from_document(doc: dict) -> WeaselModel:
         raise ConfigError("bigram feature keys in a model without bigrams")
     features_pre = _integer(doc["features_pre"], "features_pre")
     features = FeatureDictionary(keys, chi2, features_pre)
-    classes = [str(x) for x in doc["linear"]["classes"]]
+    classes = doc["linear"]["classes"]  # as train_linear writes them: np.unique order
+    if (type(classes) is not list or len(classes) < 2 or any(type(c) is not str for c in classes)
+            or any(a >= b for a, b in zip(classes, classes[1:]))):
+        raise ConfigError("model classes must be two or more distinct strings in increasing order")
     bias_weights = np.asarray(doc["linear"]["bias_weights"], dtype=np.float64)
     k, d = len(classes), len(features)
     # Rows of d weights each; a size that is no multiple of d cannot reshape.
@@ -482,8 +496,7 @@ def _model_from_document(doc: dict) -> WeaselModel:
                           f"do not fit {k} classes and {d} features")
     if not (np.isfinite(weights).all() and np.isfinite(bias_weights).all()):
         raise ConfigError("weights or bias weights are not all finite")
-    lin = LinearModel(classes, weights, bias_weights, float(doc["linear"]["bias"]))
-    return WeaselModel(cfg, word_length, models, features, lin, features_pre)
+    return WeaselModel(cfg, models, features, LinearModel(classes, weights, bias_weights))
 
 
 def load_model(path) -> WeaselModel:

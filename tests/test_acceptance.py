@@ -77,7 +77,7 @@ def test_criterion_01_binning_matches_exhaustive_search(capsys):
         if np.unique(values).size < 2:
             continue
         labels = rng.integers(0, rng.integers(2, 5), n).astype(str)
-        got = fit_bins(values, labels, 2)[0]
+        got = fit_bins(values[:, None], labels, 2)[0, 0]
         if got != best_boundary_by_search(values, labels):
             mismatched += 1
         checked += 1

@@ -399,8 +399,9 @@ def test_cli_rejects_version_1_model_files(model_document, tmp_path, capsys):
     assert captured.err.startswith("error: unsupported model version 1")
     assert captured.out == ""
     # version 2 numbered feature columns by score, not by key; version 3
-    # wrote the per-feature arrays as JSON lists of numbers
-    for version in (2, 3):
+    # wrote the per-feature arrays as JSON lists of numbers; version 4 also
+    # stored the chosen word length and the constant bias feature
+    for version in (2, 3, 4):
         old = copy.deepcopy(doc)
         old["version"] = version
         assert predict_with(old, tmp_path, test) == 1
@@ -455,7 +456,14 @@ def _swap_first(values):
     values[[0, 1]] = values[[1, 0]]
 
 
-COLUMNS = "window models need 4 in-spectrum columns each"
+def _one_class(doc):
+    """The first class alone, with its weight row and bias weight."""
+    _edit_hex("linear", "weights", lambda w: w[:1])(doc)
+    del doc["linear"]["classes"][1:], doc["linear"]["bias_weights"][1:]
+
+
+COLUMNS = "window models need in-spectrum columns, as many as one of the word lengths [4]"
+CLASSES = "model classes must be two or more distinct strings in increasing order"
 LENGTHS = "window model lengths must strictly increase from w_min 8 to at most"
 MALFORMED = "malformed model document"
 TYPE = "model config fields of the wrong type"
@@ -481,12 +489,12 @@ TYPE = "model config fields of the wrong type"
     pytest.param(lambda d: d["config"].update(w_max=48.0), TYPE, id="w-max-float"),
     pytest.param(lambda d: d["config"].update(chi_threshold=True), TYPE,
                  id="chi-threshold-bool"),
+    pytest.param(lambda d: d["config"].update(chi_threshold=float("nan")),
+                 "chi-squared threshold must be finite and nonnegative", id="chi-threshold-nan"),
     pytest.param(lambda d: d["config"].update(bigrams=False),
                  "bigram feature keys in a model without bigrams", id="bigram-keys-unigram-model"),
     pytest.param(lambda d: (d["config"].update(w_min=4), _prepend_window(d, 4)),
                  "minimum window length is 8, got 4", id="w-min-below-8"),
-    pytest.param(lambda d: d.update(word_length=4.5), "model field word_length is not an integer",
-                 id="word-length-field-float"),
     pytest.param(lambda d: d.update(features_pre="12"),
                  "model field features_pre is not an integer", id="features-pre-string"),
     pytest.param(lambda d: _first_window(d).update(w=8.75), "model field w is not an integer",
@@ -495,6 +503,11 @@ TYPE = "model config fields of the wrong type"
                  id="weights-one-row"),
     pytest.param(lambda d: d["linear"]["bias_weights"].pop(), "weights shaped",
                  id="bias-weights-short"),
+    pytest.param(lambda d: d["linear"].update(classes=d["linear"]["classes"][:1] * 2), CLASSES,
+                 id="classes-repeated"),
+    pytest.param(lambda d: d["linear"].update(classes=[1, 2]), CLASSES, id="classes-integers"),
+    pytest.param(lambda d: d["linear"]["classes"].reverse(), CLASSES, id="classes-reversed"),
+    pytest.param(_one_class, CLASSES, id="classes-one"),
     pytest.param(_edit_hex("linear", "weights", lambda w: w.ravel()[:-1]), MALFORMED,
                  id="weights-ragged"),
     pytest.param(lambda d: _each_window(d, lambda e: e["columns"].pop()), COLUMNS,

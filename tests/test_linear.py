@@ -12,7 +12,7 @@ from weaselts import (
     decision_scores,
     train_linear,
 )
-from weaselts.linear import _solve_binary, loss_gradient
+from weaselts.linear import BIAS, _solve_binary, loss_gradient
 
 
 def loss_by_loop(w, xa, y, c):
@@ -146,13 +146,12 @@ def test_score_layout_and_zero_vector():
         classes=["a", "b"],
         weights=np.array([[1.0, 0.0], [0.0, 2.0]]),
         bias_weights=np.array([0.5, -0.25]),
-        bias=2.0,
     )
     scores = decision_scores(model, np.array([[3.0, 4.0]]))
-    np.testing.assert_allclose(scores, [[3.0 + 1.0, 8.0 - 0.5]])
-    # an all-zero row reduces to the scaled bias weights
+    np.testing.assert_allclose(scores, [[3.0 + 0.5 * BIAS, 8.0 - 0.25 * BIAS]])
+    # an all-zero row reduces to the bias weights scaled by the constant bias
     np.testing.assert_allclose(
-        decision_scores(model, np.zeros((1, 2))), [[1.0, -0.5]]
+        decision_scores(model, np.zeros((1, 2))), [[0.5 * BIAS, -0.25 * BIAS]]
     )
 
 
@@ -161,7 +160,6 @@ def test_tied_scores_pick_first_class():
         classes=["a", "b", "c"],
         weights=np.zeros((3, 2)),
         bias_weights=np.zeros(3),
-        bias=1.0,
     )
     scores = decision_scores(model, np.array([[1.0, 2.0], [0.0, 0.0]]))
     np.testing.assert_array_equal(np.argmax(scores, axis=1), [0, 0])
@@ -169,7 +167,6 @@ def test_tied_scores_pick_first_class():
         classes=["a", "b", "c"],
         weights=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
         bias_weights=np.zeros(3),
-        bias=1.0,
     )
     scores = decision_scores(partial, np.array([[2.0, 5.0]]))
     np.testing.assert_array_equal(np.argmax(scores, axis=1), [0])

@@ -264,7 +264,7 @@ def test_fit_bins_two_symbol_matches_exhaustive_oracle():
         if np.unique(values).size < 2:
             continue
         labels = rng.integers(0, rng.integers(2, 5), n).astype(str)
-        got = fit_bins(values, labels, 2)
+        got = fit_bins(values[:, None], labels, 2)[0]
         assert got.shape == (1,)
         assert got[0] == best_boundary_oracle(values, labels)
 
@@ -272,16 +272,16 @@ def test_fit_bins_two_symbol_matches_exhaustive_oracle():
 def test_fit_bins_hand_cases():
     values = np.array([1.0, 2.0, 3.0, 4.0])
     labels = np.array(["a", "a", "b", "b"])
-    np.testing.assert_array_equal(fit_bins(values, labels, 2), [2.5])
-    np.testing.assert_array_equal(fit_bins(values, labels, 4), [1.5, 2.5, 3.5])
+    np.testing.assert_array_equal(fit_bins(values[:, None], labels, 2)[0], [2.5])
+    np.testing.assert_array_equal(fit_bins(values[:, None], labels, 4)[0], [1.5, 2.5, 3.5])
 
 
 def test_fit_bins_pads_when_values_run_out():
     np.testing.assert_array_equal(
-        fit_bins([5.0, 5.0, 5.0], ["a", "b", "a"], 4), [6.0, 7.0, 8.0]
+        fit_bins(np.array([5.0, 5.0, 5.0])[:, None], ["a", "b", "a"], 4)[0], [6.0, 7.0, 8.0]
     )
     # one real split plus padding past it
-    got = fit_bins([1.0, 2.0], ["a", "b"], 4)
+    got = fit_bins(np.array([1.0, 2.0])[:, None], ["a", "b"], 4)[0]
     np.testing.assert_array_equal(got, [1.5, 2.5, 3.5])
 
 
@@ -292,18 +292,21 @@ def test_fit_bins_boundary_count_and_order_property():
         values = np.round(rng.standard_normal(n) * rng.uniform(0.2, 3.0), 1)
         labels = rng.integers(0, 3, n).astype(str)
         for c in (2, 3, 4):
-            bounds = fit_bins(values, labels, c)
+            bounds = fit_bins(values[:, None], labels, c)[0]
             assert bounds.shape == (c - 1,)
             assert np.all(np.diff(bounds) > 0)
 
 
 def test_fit_bins_validation():
+    column = np.array([[1.0], [2.0]])
     with pytest.raises(ShapeError):
-        fit_bins([], [], 2)
+        fit_bins(np.ones((0, 1)), [], 2)
     with pytest.raises(ShapeError):
-        fit_bins([1.0, 2.0], ["a"], 2)
+        fit_bins(column, ["a"], 2)
     with pytest.raises(ConfigError):
-        fit_bins([1.0, 2.0], ["a", "b"], 1)
+        fit_bins(column, ["a", "b"], 1)
+    with pytest.raises(ShapeError):
+        fit_bins(column.ravel(), ["a", "b"], 2)  # one column is an (m, 1) block
     with pytest.raises(ShapeError):
         fit_bins(np.ones((3, 2)), ["a", "b"], 2)  # rows, not columns, match labels
     with pytest.raises(ShapeError):
@@ -378,7 +381,7 @@ def test_fit_bins_matches_loop_reference_bit_for_bit():
         values = np.round(rng.standard_normal(n) * rng.uniform(0.2, 3.0), 1)
         labels = rng.integers(0, rng.integers(2, 11), n).astype(str)
         for c in (2, 3, 4):
-            got = fit_bins(values, labels, c)
+            got = fit_bins(values[:, None], labels, c)[0]
             ref = greedy_bins_by_loop(values, labels, c)
             assert got.tobytes() == ref.tobytes()
 
@@ -394,7 +397,7 @@ def test_fit_bins_block_equals_column_fits_bit_for_bit():
             got = fit_bins(block, labels, c)
             assert got.shape == (n_cols, c - 1)
             for j in range(n_cols):
-                alone = fit_bins(block[:, j], labels, c)
+                alone = fit_bins(block[:, j][:, None], labels, c)[0]
                 assert got[j].tobytes() == alone.tobytes()
                 if c == 4:
                     ref = greedy_bins_by_loop(block[:, j], labels, c)
@@ -476,7 +479,7 @@ def test_fit_symbolic_model_supervised_shapes():
     model = fit_symbolic_model(window_ri_matrix(rows), labels, 16, 4, 4)
     assert model.columns.shape == (4,)
     assert model.boundaries.shape == (4, 3)
-    assert model.w == 16 and model.word_length == 4 and model.alphabet_size == 4
+    assert model.w == 16
     assert np.all((0 <= model.columns) & (model.columns < 2 * (16 // 2 + 1)))
 
 

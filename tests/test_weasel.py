@@ -92,6 +92,10 @@ def test_config_validation():
         WeaselConfig(alphabet=1).validate()
     with pytest.raises(ConfigError):
         WeaselConfig(chi_threshold=-0.5).validate()
+    with pytest.raises(ConfigError, match="finite and nonnegative, got nan"):
+        WeaselConfig(chi_threshold=float("nan")).validate()
+    with pytest.raises(ConfigError, match="finite and nonnegative, got inf"):
+        WeaselConfig(chi_threshold=float("inf")).validate()
     with pytest.raises(ConfigError):
         WeaselConfig(folds=0).validate()
     with pytest.raises(ConfigError):
@@ -386,8 +390,12 @@ def test_serialized_document_shape(masked_fit):
     _, _, model = masked_fit
     doc = json.loads(serialize_model(model))
     assert doc["format"] == "weaselts-model"
-    assert doc["version"] == 4
-    assert set(doc) >= {"config", "word_length", "window_models", "features", "linear"}
+    assert doc["version"] == 5
+    assert set(doc) == {"format", "version", "config", "features_pre", "window_models",
+                        "features", "linear"}
+    # the word length is the column count of the window models, the bias
+    # feature the constant linear.BIAS
+    assert set(doc["linear"]) == {"classes", "weights", "bias_weights"}
     # the per-feature arrays are hex strings of 8-byte values
     d, k = model.features_post, len(model.classes)
     assert len(doc["features"]["keys"]) == len(doc["features"]["chi2"]) == 16 * d
@@ -420,6 +428,7 @@ def test_round_trip_preserves_predictions(masked_fit, tmp_path):
     assert loaded.predict_many(test) == model.predict_many(test)
     assert serialize_model(loaded) == serialize_model(model)
     assert loaded.word_length == model.word_length
+    assert loaded.features_pre == model.features_pre
     assert loaded.classes == model.classes
 
 
