@@ -7,6 +7,7 @@ Heavy imports happen inside main() after argument parsing so that
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -17,18 +18,25 @@ _THREAD_VARS = (
 )
 
 
+def word_lengths(text):
+    """The candidate word lengths a comma-separated flag value lists."""
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
 def _add_config_flags(p):
-    p.add_argument("--wmin", type=int, default=None, help="smallest window length")
-    p.add_argument("--wmax", type=int, default=None, help="largest window length")
-    p.add_argument("--chi", type=float, default=None, help="feature filter threshold")
-    p.add_argument("--alphabet", type=int, default=None, help="symbols per position")
-    p.add_argument("--word-lengths", default=None,
+    # Each flag sets the WeaselConfig field of its dest, and only when given.
+    g = p.add_argument_group("model config", argument_default=argparse.SUPPRESS)
+    g.add_argument("--wmin", dest="w_min", type=int, help="smallest window length")
+    g.add_argument("--wmax", dest="w_max", type=int, help="largest window length")
+    g.add_argument("--chi", dest="chi_threshold", type=float, help="feature filter threshold")
+    g.add_argument("--alphabet", dest="alphabet", type=int, help="symbols per position")
+    g.add_argument("--word-lengths", dest="word_lengths", type=word_lengths,
                    help="comma-separated candidate word lengths, e.g. 4,6,8")
-    p.add_argument("--folds", type=int, default=None, help="cross-validation folds")
-    p.add_argument("--seed", type=int, default=None, help="fold shuffling seed")
-    p.add_argument("--no-bigrams", action="store_true",
+    g.add_argument("--folds", dest="folds", type=int, help="cross-validation folds")
+    g.add_argument("--seed", dest="seed", type=int, help="fold shuffling seed")
+    g.add_argument("--no-bigrams", dest="bigrams", action="store_false",
                    help="drop predecessor-pair features")
-    p.add_argument("--unsupervised", action="store_true",
+    g.add_argument("--unsupervised", dest="supervised", action="store_false",
                    help="first-l coefficients and equi-depth bins")
     p.add_argument("--single-window", type=int, default=None, metavar="W",
                    help="use only window length W")
@@ -77,26 +85,10 @@ def build_parser():
 def _config_from(args):
     from .weasel import WeaselConfig
 
-    kwargs = {}
-    if args.wmin is not None:
-        kwargs["w_min"] = args.wmin
-    if args.wmax is not None:
-        kwargs["w_max"] = args.wmax
-    if args.chi is not None:
-        kwargs["chi_threshold"] = args.chi
-    if args.alphabet is not None:
-        kwargs["alphabet"] = args.alphabet
-    if args.word_lengths is not None:
-        kwargs["word_lengths"] = tuple(
-            int(tok) for tok in args.word_lengths.split(",") if tok.strip())
-    if args.folds is not None:
-        kwargs["folds"] = args.folds
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    kwargs = {f.name: getattr(args, f.name) for f in fields(WeaselConfig) if hasattr(args, f.name)}
     if args.single_window is not None:
         kwargs["w_min"] = kwargs["w_max"] = args.single_window
-    return WeaselConfig(bigrams=not args.no_bigrams,
-                        supervised=not args.unsupervised, **kwargs)
+    return WeaselConfig(**kwargs)
 
 
 def main(argv=None) -> int:
@@ -109,7 +101,7 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(args)
-    except WeaselError as exc:
+    except (WeaselError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,9 +8,13 @@ kept verbatim as strings so "1" and "1.0" stay distinct.
 from __future__ import annotations
 
 import math
+import re
 
 from .errors import ParseError
 from .ts import LabeledDataset, TimeSeries
+
+# What the surrogateescape error handler makes of bytes that are not UTF-8.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def _parse_line(path, lineno, line):
@@ -35,8 +39,10 @@ def load_ucr_file(path) -> LabeledDataset:
     """Parse one file into a dataset, enforcing rectangular rows."""
     series, labels = [], []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if _UNDECODABLE.search(raw):
+                raise ParseError(path, lineno, "line is not UTF-8 text")
             line = raw.strip()
             if not line:
                 continue

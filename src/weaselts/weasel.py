@@ -37,6 +37,10 @@ threads yields byte-identical serialized models. The solver's dot
 products are summed in an order that depends on that count, so fits at
 one and at two threads can differ in their last bits; ``weaselts
 --single-thread`` pins one thread.
+
+``WeaselConfig`` is the one statement of the config's types and ranges:
+it checks them when it is built, and the fit, the model writer and
+loader and the command line rely on that.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ from __future__ import annotations
 import binascii
 import json
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -81,10 +86,22 @@ MODEL_FORMAT = "weaselts-model"
 MODEL_VERSION = 5
 
 
+# The type of each config field; a bool is no int, and word_lengths holds ints.
+_CONFIG_TYPES = {
+    "word_lengths": tuple, "alphabet": int, "chi_threshold": (int, float),
+    "w_min": int, "w_max": (int, type(None)), "bigrams": bool,
+    "supervised": bool, "folds": int, "seed": int,
+}
+
+
+def _typed(value, types) -> bool:
+    return isinstance(value, types) and (type(value) is not bool or types is bool)
+
+
 @dataclass(frozen=True)
 class WeaselConfig:
-    """Tunable pipeline settings; the defaults are the recommended
-    operating point."""
+    """Tunable pipeline settings, whose types and ranges are checked when
+    built; the defaults are the recommended operating point."""
 
     word_lengths: tuple = (4, 6, 8)
     alphabet: int = 4
@@ -96,11 +113,18 @@ class WeaselConfig:
     folds: int = 10
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
+        mistyped = [name for name, types in _CONFIG_TYPES.items()
+                    if not _typed(getattr(self, name), types)]
+        if mistyped or not all(_typed(l, int) for l in self.word_lengths):
+            raise ConfigError(f"config fields of the wrong type: {mistyped or ['word_lengths']}")
         if not self.word_lengths:
             raise ConfigError("at least one candidate word length is required")
         for l in self.word_lengths:
-            if not 1 <= int(l) <= MAX_WORD_LENGTH:
+            if not 1 <= l <= MAX_WORD_LENGTH:
                 raise ConfigError(f"word length must be in 1..{MAX_WORD_LENGTH}, got {l}")
         if not 2 <= self.alphabet <= MAX_ALPHABET:
             raise ConfigError(f"alphabet size must be in 2..{MAX_ALPHABET}")
@@ -116,7 +140,7 @@ class WeaselConfig:
         available = (
             2 * (self.w_min // 2 + 1) if self.supervised else 2 * (self.w_min // 2)
         )
-        if max(int(l) for l in self.word_lengths) > available:
+        if max(self.word_lengths) > available:
             raise ConfigError(
                 f"word length exceeds the {available} coefficient values of "
                 f"window length {self.w_min}"
@@ -279,7 +303,6 @@ class WeaselModel:
 def fit_weasel(train: LabeledDataset, config: WeaselConfig | None = None) -> WeaselModel:
     """Fit the full pipeline, selecting the word length by cross-validation."""
     cfg = config or WeaselConfig()
-    cfg.validate()
     if len(train.classes()) < 2:
         raise InsufficientClassesError("training data must contain >= 2 classes")
     min_n = min(train.lengths())
@@ -290,7 +313,7 @@ def fit_weasel(train: LabeledDataset, config: WeaselConfig | None = None) -> Wea
     max_n = max(train.lengths())
     lengths = window_lengths(max_n, cfg.w_min, cfg.w_max)
 
-    candidates = sorted({int(l) for l in cfg.word_lengths})
+    candidates = sorted(set(cfg.word_lengths))
     chosen = candidates[0]
     if len(candidates) > 1:
         counts = [train.labels.count(c) for c in train.classes()]
@@ -362,14 +385,10 @@ def _unhex(text, dtype: str) -> np.ndarray:
 
 
 def _model_document(model: WeaselModel) -> dict:
-    cfg = model.config
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "config": {
-            **{f.name: getattr(cfg, f.name) for f in fields(WeaselConfig)},
-            "word_lengths": [int(l) for l in cfg.word_lengths],
-        },
+        "config": asdict(model.config),
         "features_pre": model.features_pre,
         "window_models": [
             {
@@ -406,10 +425,12 @@ def save_model(model: WeaselModel, path) -> None:
 def deserialize_model(text: str) -> WeaselModel:
     """Rebuild a model from ``serialize_model`` text; a document that is
     not JSON, not a model document of this version, lacks a field, holds
-    a config value or integer field of the wrong type, a per-feature
-    array that is not hex of 8-byte values, window lengths or arrays that
-    do not fit together, a class list ``train_linear`` cannot write, or a
-    weight or score that is not finite raises ``ConfigError``."""
+    a config ``WeaselConfig`` refuses, an integer field or array entry of
+    the wrong JSON type, a per-feature array that is not hex of 8-byte
+    values, window lengths or arrays that do not fit together, fewer
+    candidate features than kept ones, a class list ``train_linear``
+    cannot write, or a weight or score that is not finite raises
+    ``ConfigError``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -424,16 +445,8 @@ def deserialize_model(text: str) -> WeaselModel:
         raise
     except KeyError as exc:
         raise ConfigError(f"model document lacks the field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed model document: {exc}") from None
-
-
-# The JSON types of the config fields in a model file; a bool is no int.
-_CONFIG_TYPES = {
-    "word_lengths": (list,), "alphabet": (int,), "chi_threshold": (int, float),
-    "w_min": (int,), "w_max": (int, type(None)), "bigrams": (bool,),
-    "supervised": (bool,), "folds": (int,), "seed": (int,),
-}
 
 
 def _integer(value, name: str) -> int:
@@ -442,27 +455,36 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _array(values, dtype, name: str) -> np.ndarray:
+    """JSON lists, nested or not, as an array of ``dtype``; each entry must
+    be a JSON integer for an integer dtype or a JSON number for a float one,
+    and a bool is neither. A ragged block raises ``ValueError``."""
+    array = np.asarray(values, dtype=dtype)
+    kind, types = ("integer", {int}) if array.dtype.kind == "i" else ("number", {int, float})
+    for _ in range(array.ndim - 1):
+        values = chain.from_iterable(values)
+    if not set(map(type, values)) <= types:
+        raise ConfigError(f"model field {name} holds a value that is not a JSON {kind}")
+    return array
+
+
 def _model_from_document(doc: dict) -> WeaselModel:
     # Whole-array checks only, so that a large model loads in decoding time.
     c = doc["config"]
     names = [f.name for f in fields(WeaselConfig)]
     if not isinstance(c, dict) or not set(c) <= set(names):
         raise ConfigError(f"model config is not an object of the fields {names}")
-    values = {name: c[name] for name in names}
-    mistyped = [name for name in names if type(values[name]) not in _CONFIG_TYPES[name]]
-    if mistyped or any(type(l) is not int for l in values["word_lengths"]):
-        raise ConfigError(f"model config fields of the wrong type: {mistyped or ['word_lengths']}")
-    cfg = WeaselConfig(**{**values, "word_lengths": tuple(values["word_lengths"])})
-    cfg.validate()
+    cfg = WeaselConfig(**{name: c[name] for name in names}
+                       | {"word_lengths": tuple(c["word_lengths"])})
     entries = doc["window_models"]
     ws = [_integer(e["w"], "w") for e in entries]
     top = min(MAX_WINDOW_LENGTH, cfg.w_max or MAX_WINDOW_LENGTH)
     if ws[:1] != [cfg.w_min] or np.any(np.diff(ws) <= 0) or ws[-1] > top:
         raise ConfigError(f"window model lengths must strictly increase from "
                           f"w_min {cfg.w_min} to at most {top}")
-    # A ragged block raises ValueError; the width is the chosen word length.
-    columns = np.asarray([e["columns"] for e in entries], dtype=np.int64)
-    bounds = np.asarray([e["boundaries"] for e in entries], dtype=np.float64)
+    # The width of the columns block is the chosen word length.
+    columns = _array([e["columns"] for e in entries], np.int64, "columns")
+    bounds = _array([e["boundaries"] for e in entries], np.float64, "boundaries")
     word_length = columns.shape[1] if columns.ndim == 2 else -1
     in_spectrum = (columns >= 0) & (columns < 2 * (np.asarray(ws)[:, None] // 2 + 1))
     if word_length not in cfg.word_lengths or not in_spectrum.all():
@@ -482,12 +504,15 @@ def _model_from_document(doc: dict) -> WeaselModel:
     if not cfg.bigrams and np.any(keys & (np.int64(1) << _KIND_SHIFT)):
         raise ConfigError("bigram feature keys in a model without bigrams")
     features_pre = _integer(doc["features_pre"], "features_pre")
+    if features_pre < len(keys):
+        raise ConfigError(f"model field features_pre {features_pre} is below the "
+                          f"{len(keys)} kept features")
     features = FeatureDictionary(keys, chi2, features_pre)
     classes = doc["linear"]["classes"]  # as train_linear writes them: np.unique order
     if (type(classes) is not list or len(classes) < 2 or any(type(c) is not str for c in classes)
             or any(a >= b for a, b in zip(classes, classes[1:]))):
         raise ConfigError("model classes must be two or more distinct strings in increasing order")
-    bias_weights = np.asarray(doc["linear"]["bias_weights"], dtype=np.float64)
+    bias_weights = _array(doc["linear"]["bias_weights"], np.float64, "bias_weights")
     k, d = len(classes), len(features)
     # Rows of d weights each; a size that is no multiple of d cannot reshape.
     weights = _unhex(doc["linear"]["weights"], "<f8").reshape((-1, d) if d else (k, 0))

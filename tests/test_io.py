@@ -352,6 +352,57 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "needs --model or --train" in capsys.readouterr().err
 
 
+def _fitted_model(bench_dir, tmp_path):
+    path = tmp_path / "model.json"
+    assert main(["fit", "--train", str(bench_dir / "sine_TRAIN.txt"), "--model", str(path),
+                 "--word-lengths", "4", "--folds", "2"]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(lambda d, t: ["fit", "--train", str(t / "none.txt"), "--model",
+                               str(t / "m.json")], id="fit-missing-train"),
+    pytest.param(lambda d, t: ["eval", "--train", str(t / "none.txt"), "--test",
+                               str(d / "sine_TEST.txt")], id="eval-missing-train"),
+    pytest.param(lambda d, t: ["predict", "--model", _fitted_model(d, t), "--test",
+                               str(t / "none.txt")], id="predict-missing-test"),
+    pytest.param(lambda d, t: ["predict", "--model", str(t / "none.json"), "--test",
+                               str(d / "sine_TEST.txt")], id="predict-missing-model"),
+    pytest.param(lambda d, t: ["eval", "--model", str(t / "none.json"), "--test",
+                               str(d / "sine_TEST.txt")], id="eval-missing-model"),
+    pytest.param(lambda d, t: ["fit", "--train", str(d / "sine_TRAIN.txt"), "--model",
+                               str(t / "no-such-dir" / "m.json"), "--word-lengths", "4",
+                               "--folds", "2"], id="fit-model-in-missing-directory"),
+])
+def test_cli_reports_missing_files(bench_dir, tmp_path, capsys, command):
+    argv = command(bench_dir, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 2]") and captured.out == ""
+
+
+def test_cli_reports_a_data_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"a,1.0,2.0\nb\xe9,2.0,3.0\n")
+    assert main(["fit", "--train", str(bad), "--model", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: line is not UTF-8 text\n"
+    with pytest.raises(ParseError) as info:
+        load_ucr_file(bad)
+    assert info.value.line == 2
+
+
+def test_cli_word_lengths_flag_is_checked_before_any_file_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "none.txt")
+    with pytest.raises(SystemExit) as info:
+        main(["fit", "--train", missing, "--model", str(tmp_path / "m.json"),
+              "--word-lengths", "4,x"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --word-lengths: invalid word_lengths value: '4,x'" in err
+    assert "none.txt" not in err
+
+
 @pytest.mark.parametrize("content", [
     b"[]",
     b'{"format":"weaselts-model","version":1}',
@@ -452,6 +503,11 @@ def _edit_hex(section, field, edit):
     return corrupt
 
 
+def _as_string(values, i):
+    """The same number, written as a JSON string."""
+    values[i] = repr(values[i])
+
+
 def _swap_first(values):
     values[[0, 1]] = values[[1, 0]]
 
@@ -466,7 +522,8 @@ COLUMNS = "window models need in-spectrum columns, as many as one of the word le
 CLASSES = "model classes must be two or more distinct strings in increasing order"
 LENGTHS = "window model lengths must strictly increase from w_min 8 to at most"
 MALFORMED = "malformed model document"
-TYPE = "model config fields of the wrong type"
+TYPE = "config fields of the wrong type"
+NOT_INTEGER = "model field columns holds a value that is not a JSON integer"
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -499,6 +556,25 @@ TYPE = "model config fields of the wrong type"
                  "model field features_pre is not an integer", id="features-pre-string"),
     pytest.param(lambda d: _first_window(d).update(w=8.75), "model field w is not an integer",
                  id="window-w-float"),
+    pytest.param(lambda d: d.update(features_pre=-5),
+                 "model field features_pre -5 is below the", id="features-pre-negative"),
+    pytest.param(lambda d: d.update(features_pre=0),
+                 "model field features_pre 0 is below the", id="features-pre-zero"),
+    pytest.param(lambda d: _first_window(d)["columns"].__setitem__(0, 5.7), NOT_INTEGER,
+                 id="column-float"),
+    pytest.param(lambda d: _first_window(d)["columns"].__setitem__(0, True), NOT_INTEGER,
+                 id="column-bool"),
+    pytest.param(lambda d: _first_window(d)["columns"].__setitem__(0, 2**70), MALFORMED,
+                 id="column-too-large"),
+    pytest.param(lambda d: _as_string(_first_window(d)["boundaries"][0], 0),
+                 "model field boundaries holds a value that is not a JSON number",
+                 id="boundary-string"),
+    pytest.param(lambda d: _as_string(d["linear"]["bias_weights"], 0),
+                 "model field bias_weights holds a value that is not a JSON number",
+                 id="bias-weight-string"),
+    pytest.param(lambda d: d["linear"]["bias_weights"].__setitem__(0, True),
+                 "model field bias_weights holds a value that is not a JSON number",
+                 id="bias-weight-bool"),
     pytest.param(_edit_hex("linear", "weights", lambda w: w[:1]), "weights shaped",
                  id="weights-one-row"),
     pytest.param(lambda d: d["linear"]["bias_weights"].pop(), "weights shaped",

@@ -107,6 +107,30 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="minimum window length is 8, got 4"):
         WeaselConfig(word_lengths=(4,), w_min=4).validate()
     WeaselConfig().validate()
+    # a config checks its types when it is built, so none of these can fit
+    # and then fail mid-fit, in save_model, or when its model file is loaded
+    wrong_types = [
+        ("bigrams", "no"), ("supervised", 1), ("w_min", np.int64(8)), ("w_max", np.int64(20)),
+        ("alphabet", 4.0), ("folds", 2.5), ("seed", 1.5), ("word_lengths", [4, 6]),
+        ("word_lengths", (4, 6.0)), ("chi_threshold", True), ("w_max", True),
+    ]
+    for name, value in wrong_types:
+        with pytest.raises(ConfigError, match=rf"wrong type: \['{name}'\]"):
+            WeaselConfig(**{name: value})
+    # an int, or a float subclass such as np.float64, is a valid threshold
+    WeaselConfig(chi_threshold=3)
+    WeaselConfig(chi_threshold=np.float64(2.5))
+
+
+def test_numpy_float_threshold_survives_a_round_trip(tmp_path):
+    train, test = tone_dataset(MASKED_PROFILES, n_train=12, n_test=3)
+    cfg = WeaselConfig(word_lengths=(4,), chi_threshold=np.float64(2.0), **CFG16)
+    model = fit_weasel(train, cfg)
+    save_model(model, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    assert loaded.config == model.config == cfg
+    assert serialize_model(loaded) == serialize_model(model)
+    assert loaded.predict_many(test) == model.predict_many(test)
 
 
 def test_variant_names():
